@@ -119,6 +119,14 @@ def golden_fleet_fault_drill() -> Table:
     excursion — the degraded-operation scenario family PR 5 opened.
     """
     from repro.core.controllers.pid import PIController
+    from repro.fleet import build_uniform_fleet
+
+    fleet = build_uniform_fleet(rack_count=2, servers_per_rack=2)
+    return _fleet_table(_run_fault_drill(fleet, lambda i: PIController()))
+
+
+def _run_fault_drill(fleet, controller_factory, backend: str = "vector"):
+    """The compound drill on a 2x2 *fleet*: 200 ticks of 2 s."""
     from repro.fleet import (
         CracExcursionEvent,
         FanDegradationEvent,
@@ -128,7 +136,6 @@ def golden_fleet_fault_drill() -> Table:
         PLACEMENT_POLICIES,
         SensorFaultEvent,
         ServerOutageEvent,
-        build_uniform_fleet,
     )
     from repro.workloads.profile import StaircaseProfile
 
@@ -142,14 +149,40 @@ def golden_fleet_fault_drill() -> Table:
             CracExcursionEvent(delta_c=3.0, rack=1, start_s=40.0, end_s=200.0),
         )
     )
-    fleet = build_uniform_fleet(rack_count=2, servers_per_rack=2)
-    result = FleetEngine(
+    return FleetEngine(
         fleet,
         StaircaseProfile([30.0, 85.0, 55.0, 70.0], 100.0),
         scheduler=FleetScheduler(PLACEMENT_POLICIES["coolest-first"]()),
-        controller_factory=lambda i: PIController(),
+        controller_factory=controller_factory,
         faults=schedule,
+        backend=backend,
     ).run(dt_s=2.0)
+
+
+def golden_fleet_reference() -> Table:
+    """The compound fault drill on the ``reference`` backend, 200 ticks.
+
+    One real ``ServerSimulator`` per server under the coordinated
+    fan+DVFS controller and p-state ladder of the coordinated golden —
+    pins the physics oracle itself, with every fault kind active, to
+    an exact CSV surface.
+    """
+    from dataclasses import replace
+
+    from repro.core.controllers.coordinated import CoordinatedController
+    from repro.core.lut import build_lut_from_spec
+    from repro.fleet import build_uniform_fleet
+    from repro.server.dvfs import default_dvfs_ladder
+    from repro.server.specs import default_server_spec
+
+    spec = replace(default_server_spec(), dvfs=default_dvfs_ladder())
+    lut = build_lut_from_spec(spec)
+    fleet = build_uniform_fleet(rack_count=2, servers_per_rack=2, spec=spec)
+    result = _run_fault_drill(
+        fleet,
+        lambda i: CoordinatedController(lut, spec.dvfs),
+        backend="reference",
+    )
     return _fleet_table(result)
 
 
@@ -258,6 +291,7 @@ GOLDEN_BUILDERS = {
     "run_experiment.csv": golden_run_experiment,
     "fleet_coordinated.csv": golden_fleet_coordinated,
     "fleet_fault_drill.csv": golden_fleet_fault_drill,
+    "fleet_reference.csv": golden_fleet_reference,
     "fleet_sharded.csv": golden_fleet_sharded,
     "facility.csv": golden_facility,
 }
