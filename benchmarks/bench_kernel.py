@@ -1,4 +1,4 @@
-"""Execution-kernel benchmarks: chunked stepping vs the legacy loops.
+"""Execution-kernel benchmarks: chunked stepping vs the reference loops.
 
 Pins the kernelization perf contract:
 
@@ -6,11 +6,13 @@ Pins the kernelization perf contract:
   the preserved tick-by-tick reference loop by **>= 5x** at the
   default 10 s controller cadence, and still win clearly (>= 3x) in
   the worst case of a controller polling every tick;
-* the 64-server ``FleetEngine`` kernel loop must beat the preserved
-  ``vector-legacy`` per-tick loop by **>= 3x**.
+* the 64-server ``FleetEngine`` ``vector`` backend must beat the
+  ``reference`` backend (one ``ServerSimulator`` per server, same tick
+  loop) by **>= 3x**.
 
-Both claims ride on bit-identical traces — the equivalence is pinned
-by ``tests/test_kernel_equivalence.py``; this module only times.  The
+Both claims ride on equivalent traces — bit-identical for the single
+server, within the fleet tolerance contract for the fleet — pinned by
+``tests/test_kernel_equivalence.py``; this module only times.  The
 numbers are persisted to ``benchmarks/results/BENCH_kernel.json`` so
 the perf trajectory is machine-readable across PRs.
 
@@ -86,7 +88,7 @@ def _time_fleet(backend: str, runs=3) -> float:
 
 
 def test_kernel_speedups(results_dir, paper_lut):
-    """Chunked kernels vs the preserved legacy paths, full horizons."""
+    """Chunked kernels vs the reference paths, full horizons."""
     steps = HORIZON_S / 1.0
     cases = {
         # the base-class default cadence: one poll per 10 ticks
@@ -122,14 +124,14 @@ def test_kernel_speedups(results_dir, paper_lut):
 
     _time_fleet("vector", runs=1)  # warm caches before timing
     t_vec = _time_fleet("vector")
-    t_legacy = _time_fleet("vector-legacy")
-    fleet_speedup = t_legacy / t_vec
+    t_reference = _time_fleet("reference")
+    fleet_speedup = t_reference / t_vec
     fleet_ticks = FLEET_HORIZON_S / 1.0 * FLEET_SERVERS
     payload["fleet"] = {
         "servers": FLEET_SERVERS,
         "horizon_s": FLEET_HORIZON_S,
         "kernel_s": t_vec,
-        "legacy_s": t_legacy,
+        "reference_s": t_reference,
         "speedup": fleet_speedup,
         "kernel_server_ticks_per_s": fleet_ticks / t_vec,
     }
@@ -137,14 +139,14 @@ def test_kernel_speedups(results_dir, paper_lut):
         [
             f"fleet_{FLEET_SERVERS}",
             f"{t_vec * 1e3:.1f}",
-            f"{t_legacy * 1e3:.1f}",
+            f"{t_reference * 1e3:.1f}",
             f"{fleet_speedup:.1f}",
             f"{fleet_ticks / t_vec:.0f}",
         ]
     )
 
     table = format_table(
-        ["case", "kernel(ms)", "legacy(ms)", "speedup", "steps/s"], rows
+        ["case", "kernel(ms)", "reference(ms)", "speedup", "steps/s"], rows
     )
     write_artifact(results_dir, "kernel_speedup.txt", table)
     write_bench_json(results_dir, "kernel", payload)

@@ -75,7 +75,7 @@ UNIT_PRESERVING_CALLS: FrozenSet[str] = frozenset(
 #: allowed to construct RNGs via ``np.random.default_rng``.  Keeping
 #: construction confined to these entry points is what keeps the
 #: repository's draw-order contracts auditable: every bit-identity
-#: test (kernel vs. reference, vector vs. legacy, serial vs. parallel
+#: test (kernel vs. reference, vector vs. sharded, serial vs. parallel
 #: sweeps) relies on knowing exactly who draws from which stream.
 RNG_ENTRY_MODULES: FrozenSet[str] = frozenset(
     {

@@ -1,7 +1,7 @@
 """R002 — RNG discipline: seeded Generators at declared entry points.
 
 Every bit-identity contract in this repository (chunked kernel vs.
-reference engine, vector vs. legacy fleet backends, serial vs.
+reference engine, vector vs. sharded fleet backends, serial vs.
 parallel sweeps, golden traces) depends on knowing exactly which
 component draws from which RNG stream, in which order.  That is only
 auditable when randomness enters through explicit, seeded

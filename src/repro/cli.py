@@ -896,11 +896,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "vector-legacy", "reference", "sharded"),
-        help="vector = kernelized batch, vector-legacy = pre-kernel "
-        "per-tick loop (equivalence oracle), reference = one "
-        "ServerSimulator per server, sharded = multi-process workers "
-        "with streamed traces (see docs/scaling.md)",
+        choices=("vector", "reference", "sharded"),
+        help="vector = kernelized batch, reference = one "
+        "ServerSimulator per server (the physics oracle), sharded = "
+        "multi-process workers with streamed traces (see docs/scaling.md)",
     )
     p.add_argument(
         "--shards",
@@ -1053,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "vector-legacy", "reference"),
+        choices=("vector", "reference"),
         help="queue-driven demand is evaluated tick by tick, so the "
         "sharded backend is not available here",
     )
@@ -1096,11 +1095,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "vector-legacy", "reference", "sharded"),
-        help="vector = kernelized batch, vector-legacy = pre-kernel "
-        "per-tick loop (equivalence oracle), reference = one "
-        "ServerSimulator per server, sharded = multi-process workers "
-        "with streamed traces (see docs/scaling.md)",
+        choices=("vector", "reference", "sharded"),
+        help="vector = kernelized batch, reference = one "
+        "ServerSimulator per server (the physics oracle), sharded = "
+        "multi-process workers with streamed traces (see docs/scaling.md)",
     )
     p.add_argument(
         "--shards",

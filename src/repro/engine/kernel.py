@@ -21,13 +21,13 @@ bit-level trace contracts:
   add/mul/div/min match scalar Python bit for bit).
 
 * :class:`FleetVectorKernel` carries the numpy-batched (N servers ×
-  S sockets) physics the fleet engine has always used.  Its
-  :meth:`FleetVectorKernel.step` method is the pre-kernel per-tick
-  implementation (kept as the equivalence oracle and benchmark
-  baseline); :meth:`FleetVectorKernel.step_into` evaluates the *same*
-  ufunc expressions but writes straight into preallocated trace rows
-  and skips redundant per-tick validation, so its traces stay
-  bit-identical to the legacy stepping path.
+  S sockets) physics of the fleet engine.  Its
+  :meth:`FleetVectorKernel.step_into` writes straight into preallocated
+  trace rows, skips redundant per-tick validation and caches every
+  quantity whose inputs did not change since the previous tick; its
+  oracles are the ``reference`` fleet backend (one real
+  :class:`ServerSimulator` per server, same tick loop) and the golden
+  traces in ``tests/golden/``.
 
 The sensor-noise batching relies on ``Generator.normal`` filling
 arrays in C order from the same bit stream scalar draws consume (see
@@ -37,7 +37,6 @@ reproduce the pre-kernel noisy traces draw for draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 from typing import Dict, List, Optional
 
@@ -807,27 +806,6 @@ class SingleServerKernel:
             column[:tick] = arrays[f"col_{name}"]
 
 
-@dataclass
-class FleetTickState:
-    """Per-server outputs of one legacy-path physics tick."""
-
-    total_power_w: np.ndarray
-    fan_power_w: np.ndarray
-    airflow_cfm: np.ndarray
-    mean_rpm: np.ndarray
-    max_junction_c: np.ndarray
-    avg_junction_c: np.ndarray
-    leakage_w: np.ndarray
-    leakage_slope_w_per_c: np.ndarray
-    dimm_bank_c: np.ndarray
-    #: Executed (busy-fraction) utilization after the p-state stretch.
-    executed_pct: np.ndarray
-    #: DVFS deficit rate this tick, nominal percent (0 when keeping up).
-    work_deficit_pct: np.ndarray
-    #: P-state each server ran this tick.
-    pstate_index: np.ndarray
-
-
 #: Cold-start fan settle horizon, seconds (matches the paper protocol's
 #: ">= 10 minutes idle" phase; long enough that any rotor reaches the
 #: commanded speed exactly).
@@ -837,10 +815,9 @@ COLD_START_SETTLE_S = 600.0
 class FleetVectorKernel:
     """Numpy-batched physics for a homogeneous-socket-count fleet.
 
-    Parameter extraction, persistent ``(N, S)`` state arrays and the
-    legacy per-tick :meth:`step` moved here verbatim from the fleet
-    engine's vector backend; :meth:`step_into` is the kernelized fast
-    path sharing the same state and ufunc expressions.
+    Per-server parameters are extracted once into flat arrays; the
+    mutable state is a set of persistent ``(N,)`` / ``(N, S)`` arrays
+    that :meth:`step_into` advances in place.
     """
 
     def __init__(self, fleet, metrics=None):
@@ -917,9 +894,9 @@ class FleetVectorKernel:
         self.static_scale = np.ones(n)
         self.dynamic_scale = np.ones(n)
 
-        # fast-path caches (kernelized step only; every cached value is
-        # bit-identical to recomputing it, because its inputs are
-        # unchanged between invalidations)
+        # step caches (every cached value is bit-identical to
+        # recomputing it, because its inputs are unchanged between
+        # invalidations)
         self._fan_flow_scale = self.fan_count * self.fan_cfm_ref
         self._fan_power_scale = self.fan_count * self.fan_power_ref_w
         self._rpm_derived = None
@@ -1016,90 +993,9 @@ class FleetVectorKernel:
             self.leak_k2_w, self.leak_k3_per_c, self.t_j
         ).sum(axis=1)
 
-    # ------------------------------------------------------------------
-    # legacy per-tick step (the pre-kernel implementation, kept as the
-    # equivalence oracle and benchmark baseline)
-    # ------------------------------------------------------------------
-    def step(
-        self,
-        dt_s: float,
-        demand_pct: np.ndarray,
-        rpm_command: np.ndarray,
-        inlet_c: np.ndarray,
-        offsets_c: np.ndarray,
-    ) -> FleetTickState:
-        """One validated tick returning a fresh :class:`FleetTickState`."""
-        self._rpm_derived = None  # this legacy path moves the rotors itself
-        # fan slew, then airflow/power at the new speed (as the
-        # single-server simulator orders it)
-        max_delta = self.fan_slew * dt_s
-        self.rpm += np.clip(rpm_command - self.rpm, -max_delta, max_delta)
-        airflow = self.fan_count * self.fan_cfm_ref * self.rpm / self.fan_rpm_ref
-        fan_power = (
-            self.fan_count
-            * self.fan_power_ref_w
-            * (self.rpm / self.fan_rpm_ref) ** self.fan_power_exp
-        )
-
-        # DVFS stretch: demanded nominal work runs slower at a deep
-        # p-state, so the busy fraction grows by f_nom/f and saturates
-        # at 100% — the saturated remainder is lost throughput,
-        # reported (in nominal percent) as the work deficit.  Ordering
-        # matches DvfsSpec.executed_utilization_pct / work_deficit_pct
-        # so the batch stays bit-compatible with the scalar simulator.
-        stretched = demand_pct / self.freq_ratio
-        u = np.minimum(100.0, stretched)
-        deficit = np.where(
-            stretched <= 100.0, 0.0, (stretched - 100.0) * self.freq_ratio
-        )
-
-        mem_power = self.mem_idle_w + self.mem_k_w_pct * u
-        capacity = airflow_heat_capacity_w_per_k(airflow)
-        cpu_inlet = inlet_c + self.preheat_frac * mem_power / capacity
-        r_ma = convective_resistance_k_w(
-            self.mem_r_ref, self.rpm, self.mem_rpm_ref, self.mem_flow_exp
-        )
-        r_ha = convective_resistance_k_w(
-            self.r_ha_ref, self.rpm[:, None], self.rpm_ref_thermal, self.flow_exp
-        )
-
-        active = (
-            self.sock_idle_w * self.static_scale[:, None]
-            + self.sock_k_w_pct * u[:, None] * self.dynamic_scale[:, None]
-        )
-        substeps, h = substep_schedule(dt_s)
-        cpu_inlet_col = cpu_inlet[:, None]
-        for _ in range(substeps):
-            heat_in = active + self._leakage(self.t_j)
-            q_jh = (self.t_j - self.t_h) / self.r_jh
-            q_ha = (self.t_h - cpu_inlet_col) / r_ha
-            self.t_j += h * (heat_in - q_jh) / self.c_j
-            self.t_h += h * (q_jh - q_ha) / self.c_h
-            q_ma = (self.t_m - inlet_c) / r_ma
-            self.t_m += h * (mem_power - q_ma) / self.mem_c_bank
-
-        leakage = self._leakage(self.t_j)
-        total = (
-            self.board_w
-            + mem_power
-            + active.sum(axis=1)
-            + leakage.sum(axis=1)
-            + fan_power
-        )
-        return FleetTickState(
-            total_power_w=total,
-            fan_power_w=fan_power,
-            airflow_cfm=airflow,
-            mean_rpm=self.rpm.copy(),
-            max_junction_c=self.t_j.max(axis=1),
-            avg_junction_c=self.t_j.mean(axis=1),
-            leakage_w=leakage.sum(axis=1),
-            leakage_slope_w_per_c=self.leakage_slope_w_per_c(),
-            dimm_bank_c=self.t_m.copy(),
-            executed_pct=u,
-            work_deficit_pct=deficit,
-            pstate_index=self.pstate.copy(),
-        )
+    def mean_junction_c(self) -> np.ndarray:
+        """Per-server mean junction temperature, °C."""
+        return self.t_j.mean(axis=1)
 
     # ------------------------------------------------------------------
     # kernelized fast path
@@ -1119,14 +1015,13 @@ class FleetVectorKernel:
         out_rpm: np.ndarray,
         out_pstate: np.ndarray,
         out_deficit: np.ndarray,
-        out_dimm: Optional[np.ndarray] = None,
     ):
         """One tick written into preallocated trace rows.
 
-        Evaluates exactly the ufunc expressions of :meth:`step` (same
-        operands, same order — the bit-identity contract) but skips the
-        per-call finiteness checks inside
-        :func:`convective_resistance_k_w` /
+        Fan slew, then airflow and fan power at the new speed, the DVFS
+        stretch, the RC thermal substeps and the power decomposition,
+        in the single-server simulator's order.  Skips the per-call
+        finiteness checks inside :func:`convective_resistance_k_w` /
         :func:`airflow_heat_capacity_w_per_k` (inputs are validated at
         command time; a single positivity guard preserves the zero-rpm
         error), allocates no per-tick state object, and caches every
@@ -1135,7 +1030,7 @@ class FleetVectorKernel:
         fans are settled on their commands, the static-power term while
         no p-state changes, and the trivial DVFS stretch while every
         server runs nominal frequency.  Cached or not, the values are
-        bit-identical to :meth:`step`'s.
+        bit-identical to recomputing them.
 
         Returns ``(air_capacity_w_per_k, leakage_w)`` — the stream heat
         capacity (for the exhaust-rise recirculation step) and the
@@ -1224,8 +1119,6 @@ class FleetVectorKernel:
         out_rpm[...] = rpm
         out_pstate[...] = self.pstate
         out_deficit[...] = deficit
-        if out_dimm is not None:
-            out_dimm[...] = self.t_m
         if self._metric_steps is not None:
             self._metric_steps.inc()
         return capacity, leakage_w
@@ -1247,11 +1140,5 @@ class FleetVectorKernel:
             )
 
     def initial_views_data(self):
-        """(max_j, avg_j, leakage_w, leakage_slope) before the first tick."""
-        leak = self._leakage(self.t_j)
-        return (
-            self.t_j.max(axis=1),
-            self.t_j.mean(axis=1),
-            leak.sum(axis=1),
-            self.leakage_slope_w_per_c(),
-        )
+        """``(max_junction_c, leakage_w)`` before the first tick."""
+        return self.t_j.max(axis=1), self._leakage(self.t_j).sum(axis=1)

@@ -7,9 +7,14 @@ This module is the ``sharded`` backend: the fleet is partitioned into
 contiguous server slices, each owned by a worker that runs its own
 kernel slice and spills its trace rows to the memory-mapped ``.npy``
 segments of :mod:`repro.telemetry.segments`, while the coordinator
-keeps the whole control plane — CRAC supplies, the recirculation
+keeps everything cross-server — CRAC supplies, the recirculation
 coupling, the placement policy's single global ranking and fill, and
-fault attribution.
+fault attribution.  Both sides run the in-process loop's own per-tick
+code from :mod:`repro.engine.control`: the coordinator its tick
+prologue (:class:`~repro.engine.control.TickInputs` and
+:meth:`~repro.fleet.scheduler.FleetScheduler.place`), each worker the
+controller poll (:class:`~repro.engine.control.ControlSlice`) over its
+``[lo, hi)``.
 
 Bit-identity with ``vector`` holds by construction, not by tolerance:
 
@@ -18,8 +23,8 @@ Bit-identity with ``vector`` holds by construction, not by tolerance:
   row slice produces bit-identical results.
 * The only cross-server couplings — the ``coupling @ exhaust_rise``
   recirculation product and the scheduler's ranked fill — stay on the
-  coordinator, evaluated over the same gathered full-width arrays (and
-  in the same expression order) as the single-process loop.
+  coordinator, evaluated by the same code over the same gathered
+  full-width arrays as the single-process loop.
 * Controllers, poll clocks and stateful sensor-fault channels are
   partitioned with their servers; no per-server state is ever touched
   by two shards.
@@ -85,7 +90,7 @@ import resource
 import shutil
 import sys
 import tempfile
-from math import gcd, isnan
+from math import gcd
 from multiprocessing.connection import wait as _sentinel_wait
 from threading import BrokenBarrierError, Event, Thread
 from time import monotonic, perf_counter, sleep
@@ -104,7 +109,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation
 from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -121,11 +125,8 @@ from repro.engine.checkpoint import (
     save_pickle,
     staging_dir_for_tick,
 )
-from repro.engine.kernel import (
-    POLL_EPS_S,
-    FleetVectorKernel,
-    plan_tick_times,
-)
+from repro.engine.control import ControlSlice, TickInputs
+from repro.engine.kernel import FleetVectorKernel
 from repro.server.server import CriticalTemperatureError
 from repro.server.thermal import substep_schedule
 from repro.telemetry.segments import (
@@ -280,9 +281,11 @@ class _SharedBlock:
 class _ShardWorker:
     """One shard: kernel slice, controllers ``[lo, hi)``, trace spills.
 
-    :meth:`step` mirrors the poll / fan-cap / ``step_into`` / handoff
-    section of the ``vector`` loop over the shard's slice, expression
-    for expression — the bit-identity contract lives here.
+    :meth:`step` is the poll / fan-cap / ``step_into`` / handoff section
+    of the in-process tick loop over the shard's slice: the poll is the
+    shared :class:`~repro.engine.control.ControlSlice` over ``[lo, hi)``
+    and the remaining expressions are the loop's own, so the slice's
+    rows are bit-identical to the ``vector`` backend's.
     """
 
     def __init__(
@@ -335,20 +338,7 @@ class _ShardWorker:
         if self.resume_dir is None:
             if engine.cold_start:
                 kernel.force_cold_state(engine.cold_start_rpm)
-            self.controllers = engine.controllers[lo:hi]
-            rpm_command = np.empty(width)
-            for li, controller in enumerate(self.controllers):
-                controller.reset()
-                initial = controller.initial_rpm()
-                rpm_command[li] = engine._validated_command(
-                    lo + li,
-                    initial
-                    if initial is not None
-                    else float(kernel.rpm[li]),
-                )
-            self.rpm_command = rpm_command
-            self.next_poll = np.zeros(width)
-            self.next_poll_due = 0.0
+            controllers = engine.controllers[lo:hi]
         else:
             state = load_arrays(self.resume_dir, self._shard_name)
             kernel.load_state_arrays(
@@ -358,22 +348,22 @@ class _ShardWorker:
                 }
             )
             control = load_pickle(self.resume_dir, self._shard_name)
-            self.controllers = list(control["controllers"])
-            if len(self.controllers) != width:
+            controllers = list(control["controllers"])
+            if len(controllers) != width:
                 raise CheckpointError(
                     f"checkpoint shard {self.shard_id} holds "
-                    f"{len(self.controllers)} controllers, expected {width}"
+                    f"{len(controllers)} controllers, expected {width}"
                 )
             channels = control["sensor_channels"]
             if self.plan is not None and channels is not None:
                 self.plan.sensor_channels[lo:hi] = channels
-            self.rpm_command = state["rpm_command"].copy()
-            self.next_poll = state["next_poll"].copy()
-            self.next_poll_due = float(state["next_poll_due"])
-        self.decide_pstate_fns = [
-            getattr(controller, "decide_pstate", None)
-            for controller in self.controllers
-        ]
+        self.control = ControlSlice(
+            engine.fleet, controllers, lo=lo, plan=self.plan
+        )
+        if self.resume_dir is None:
+            self.control.reset(kernel.rpm)
+        else:
+            self.control.load_state_arrays(state)
         self.apply_faults = self.plan is not None
 
         # chunk buffers: the only O(chunk x width) state a worker holds
@@ -393,82 +383,39 @@ class _ShardWorker:
         self._buf_deficit = self._buffers["deficit"]
         self._chunk_start = self.start_tick
 
-        # pre-step state the poll block reads: views into the shard's
-        # slice of the published summary arrays
+        # pre-step state the poll reads: views into the shard's slice
+        # of the published summary arrays
         self._junction_view = self.shared.max_junction[self._sl]
         self._executed_view = self.shared.executed[self._sl]
 
         if self.resume_dir is None:
             # initial publish (executed / p-state / exhaust stay zero,
-            # matching the vector loop's pre-first-tick state); on
+            # matching the in-process loop's pre-first-tick state); on
             # resume the coordinator restores the full summary arrays
             # from its own payload instead
-            max_junction_c, _, leak_w, slope = kernel.initial_views_data()
+            max_junction_c, leak_w = kernel.initial_views_data()
             self.shared.max_junction[self._sl] = max_junction_c
             self.shared.leakage[self._sl] = leak_w
-            self.shared.slope[self._sl] = slope
-
-    def _poll(self, time_s: float) -> None:
-        """Poll due controllers, exactly as the vector loop does."""
-        lo = self.lo
-        plan = self.plan
-        kernel = self.kernel
-        rpm_command = self.rpm_command
-        next_poll = self.next_poll
-        engine = self.engine
-        avg_junction_c = kernel.t_j.mean(axis=1)
-        for li in np.nonzero(time_s >= next_poll - POLL_EPS_S)[0]:
-            controller = self.controllers[li]
-            i = lo + int(li)
-            max_c = float(self._junction_view[li])
-            avg_c = float(avg_junction_c[li])
-            if self.apply_faults and plan.has_sensor_faults:
-                max_c, avg_c = plan.transform_observation(
-                    i, time_s, max_c, avg_c
-                )
-            # A dropped-out channel (NaN reading) makes the BMC hold
-            # the last fan and p-state commands; the poll clock still
-            # advances.
-            if not (isnan(max_c) or isnan(avg_c)):
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max_c,
-                    avg_cpu_temperature_c=avg_c,
-                    utilization_pct=float(self._executed_view[li]),
-                    current_rpm_command=float(rpm_command[li]),
-                )
-                wanted = controller.decide(observation)
-                if wanted is not None and wanted != rpm_command[li]:
-                    rpm_command[li] = engine._validated_command(i, wanted)
-                decide_pstate = self.decide_pstate_fns[li]
-                if decide_pstate is not None:
-                    wanted_pstate = decide_pstate(observation)
-                    if wanted_pstate is not None:
-                        kernel.set_pstate(
-                            int(li),
-                            engine._validated_pstate(i, int(wanted_pstate)),
-                        )
-            while time_s >= next_poll[li] - POLL_EPS_S:
-                next_poll[li] += controller.poll_interval_s
-        self.next_poll_due = next_poll.min()
+            self.shared.slope[self._sl] = kernel.leakage_slope_w_per_c()
 
     def step(self, tick: int) -> None:  # reprolint: hot
         """One tick over the shard slice: poll, physics, publish, spill."""
-        time_s = self.times[tick]
         plan = self.plan
         kernel = self.kernel
         sl = self._sl
         shared = self.shared
+        control = self.control
 
-        if time_s >= self.next_poll_due - POLL_EPS_S:
-            self._poll(time_s)
+        control.poll(
+            self.times[tick], kernel, self._junction_view, self._executed_view
+        )
 
         # a degraded fan bank caps the achievable rotor speed below the
         # controller's command (the command itself is untouched)
         if self.apply_faults and plan.has_fan_faults:
-            actuated_rpm = np.minimum(self.rpm_command, plan.rpm_cap[tick][sl])
+            actuated_rpm = np.minimum(control.rpm_command, plan.rpm_cap[tick][sl])
         else:
-            actuated_rpm = self.rpm_command
+            actuated_rpm = control.rpm_command
 
         r = tick - self._chunk_start
         air_capacity, leak_w = kernel.step_into(
@@ -490,9 +437,10 @@ class _ShardWorker:
             self._check_critical(self._buf_junction[r])
 
         # publish the post-step summary rows the coordinator schedules
-        # from at the next tick (same expressions as the vector loop's
-        # state handoff; the slope is published eagerly — identical to
-        # the lazy provider, it reads the same post-step t_j)
+        # from at the next tick (same expressions as the in-process
+        # loop's state handoff; the slope is published eagerly —
+        # identical to the lazy provider, it reads the same post-step
+        # t_j)
         shared.exhaust_rise[sl] = self._buf_power[r] / air_capacity
         shared.executed[sl] = self._buf_util[r]
         shared.max_junction[sl] = self._buf_junction[r]
@@ -523,7 +471,7 @@ class _ShardWorker:
             return
         self._snapshot_slice(root, tick)
 
-    def _snapshot_slice(self, root: Path, tick: int) -> None:
+    def _snapshot_slice(self, root: str, tick: int) -> None:
         """Write this slice's state into the announced cut's staging dir.
 
         A cut is only ever announced at a spill boundary, so every
@@ -537,9 +485,7 @@ class _ShardWorker:
             f"kernel_{key}": value
             for key, value in self.kernel.state_arrays().items()
         }
-        arrays["rpm_command"] = self.rpm_command.copy()
-        arrays["next_poll"] = self.next_poll.copy()
-        arrays["next_poll_due"] = np.float64(self.next_poll_due)
+        arrays.update(self.control.state_arrays())
         save_arrays(staging, self._shard_name, arrays)
         channels = None
         if self.plan is not None:
@@ -548,7 +494,7 @@ class _ShardWorker:
             staging,
             self._shard_name,
             {
-                "controllers": self.controllers,
+                "controllers": self.control.controllers,
                 "sensor_channels": channels,
             },
         )
@@ -585,11 +531,13 @@ class _ShardWorker:
 
 
 class _Coordinator:
-    """The control plane: supplies, coupling, scheduling, attribution.
+    """The cross-server plane: inlets, placement, attribution, capture.
 
-    :meth:`begin_tick` mirrors the supply / coupling / scheduling
-    section of the vector loop over the gathered full-width arrays and
-    publishes its outputs (inlet, allocations) for the workers.
+    :meth:`begin_tick` runs the in-process loop's tick prologue — the
+    shared :class:`~repro.engine.control.TickInputs` and
+    :meth:`~repro.fleet.scheduler.FleetScheduler.place` — over the
+    gathered full-width arrays and publishes its outputs (inlet,
+    allocations) for the workers.
     """
 
     def __init__(
@@ -598,6 +546,7 @@ class _Coordinator:
         dt_s: float,
         steps: int,
         plan: Optional["FleetFaultPlan"],
+        inputs: TickInputs,
         shared: _SharedBlock,
         inlet_writer: ShardTraceWriter,
         chunk_ticks: int,
@@ -627,45 +576,15 @@ class _Coordinator:
         self.start_tick = int(start_tick)
         self._ckpt_writer: Optional[CheckpointWriter] = None
 
-        fleet = engine.fleet
-        n = fleet.server_count
-        self.n = n
-        self.rack_of = np.asarray(fleet.rack_index_of_server)
-        # the dense coupling matrix is only materialized when the fleet
-        # actually recirculates: with no coupling the offsets are an
-        # exact zero vector and the O(N^2) product (of zeros) is skipped
-        self.coupling = (
-            fleet.recirculation_matrix()
-            if fleet.recirculation is not None
-            else None
-        )
-        self.zero_offsets = np.zeros(n)
-        self.supply_base = fleet.supply_temperatures_c(0.0)
-        self.supply_now = self.supply_base
-        constant_supply = all(rack.crac is None for rack in fleet.racks)
-        times_pre = plan_tick_times(steps, dt_s)[:steps]
-        self.times_pre_list = times_pre.tolist()
-        self.totals_list = (
-            engine.workload.profile.utilization_chunk(times_pre)
-            * engine.workload.server_count
-        ).tolist()
-        self.supply_matrix: Optional[np.ndarray] = None
-        if not constant_supply:
-            supply_models = fleet.supply_models()
-            self.supply_matrix = np.empty((steps, n))
-            for column, model in enumerate(supply_models):
-                self.supply_matrix[:, column] = model.temperature_chunk(
-                    times_pre
-                )
-
-        self.apply_faults = plan is not None
+        self.inputs = inputs
+        n = engine.fleet.server_count
+        self.rack_of = np.asarray(engine.fleet.rack_index_of_server)
         if resume_dir is None:
             engine.scheduler.reset()
         else:
             engine.scheduler = load_pickle(resume_dir, "coordinator")[
                 "scheduler"
             ]
-        self.policy = engine.scheduler.policy
 
         # coordinator-owned 1-D traces (O(steps), kept in RAM)
         self.trace_unserved = np.empty(steps)
@@ -752,84 +671,27 @@ class _Coordinator:
 
         plan = self.plan
         shared = self.shared
-        n = self.n
-        time_s = self.times_pre_list[tick]
-        supply_now = self.supply_now
-        if self.supply_matrix is not None:
-            supply_now = self.supply_matrix[tick]
-        elif self.apply_faults:
-            supply_now = self.supply_base
-        if self.apply_faults and plan.has_excursions:
-            supply_now = supply_now + plan.supply_delta[tick]
-        if self.coupling is None:
-            offsets = self.zero_offsets
-        else:
-            offsets = self.coupling @ shared.exhaust_rise
-        inlet = supply_now + offsets
-        self.supply_now = supply_now
-
-        outage_now = self.apply_faults and plan.outage_any[tick]
-        arrays = self._load_arrays(
-            utilization_pct=shared.executed,
-            max_junction_c=shared.max_junction,
-            inlet_c=inlet,
-            leakage_w=shared.leakage,
-            pstate_index=shared.pstate,
-            rack_index=self.rack_of,
-            leakage_slope_w_per_c=shared.slope,
+        inputs = self.inputs
+        inlet = inputs.inlet(tick, shared.exhaust_rise)
+        (
+            decision,
+            self.trace_respilled[tick],
+            self.trace_fault_unserved[tick],
+        ) = self.engine.scheduler.place(
+            self._load_arrays(
+                utilization_pct=shared.executed,
+                max_junction_c=shared.max_junction,
+                inlet_c=inlet,
+                leakage_w=shared.leakage,
+                pstate_index=shared.pstate,
+                rack_index=self.rack_of,
+                leakage_slope_w_per_c=shared.slope,
+            ),
+            inputs.demand_total(tick),
+            plan.outage[tick]
+            if plan is not None and plan.outage_any[tick]
+            else None,
         )
-        order = self.policy.order_indices(arrays)
-        scheduler = self.engine.scheduler
-        if order is not None:
-            if outage_now:
-                # degraded fill plus the all-up counterfactual — both
-                # along the single policy ranking, so the respill/SLA
-                # attribution needs no second ranking
-                out_row = plan.outage[tick]
-                order = np.asarray(order)  # reprolint: disable=R003
-                counterfactual = scheduler.assign_indexed(
-                    order, n, self.totals_list[tick]
-                )
-                decision = scheduler.assign_indexed(
-                    order[~out_row[order]], n, self.totals_list[tick]
-                )
-                self.trace_respilled[tick] = float(
-                    counterfactual.allocations_pct[out_row].sum()
-                )
-                self.trace_fault_unserved[tick] = max(
-                    0.0,
-                    decision.unserved_pct - counterfactual.unserved_pct,
-                )
-            else:
-                decision = scheduler.assign_indexed(
-                    order, n, self.totals_list[tick]
-                )
-        else:
-            # view-based custom policy: full legacy scheduling path
-            views = self.engine._build_views(
-                n,
-                self.rack_of,
-                shared.executed,
-                shared.max_junction,
-                inlet,
-                shared.leakage,
-                arrays.leakage_slope_w_per_c,
-                shared.pstate,
-            )
-            if outage_now:
-                out_row = plan.outage[tick]
-                decision, counterfactual = scheduler.assign_with_spill(
-                    views, self.totals_list[tick], ~out_row
-                )
-                self.trace_respilled[tick] = float(
-                    counterfactual.allocations_pct[out_row].sum()
-                )
-                self.trace_fault_unserved[tick] = max(
-                    0.0,
-                    decision.unserved_pct - counterfactual.unserved_pct,
-                )
-            else:
-                decision = scheduler.assign(views, self.totals_list[tick])
 
         shared.inlet[:] = inlet
         shared.allocations[:] = decision.allocations_pct
@@ -1346,7 +1208,7 @@ def run_sharded(
     ctx = (
         multiprocessing.get_context("fork") if mode == "process" else None
     )
-    times = plan_tick_times(steps, dt_s)[:steps].tolist()
+    inputs = TickInputs(fleet, engine.workload, plan, steps, dt_s)
 
     def build(
         attempt_resume: Optional[str], attempt_start: int
@@ -1375,7 +1237,7 @@ def run_sharded(
                 steps,
                 writer.shard_writer(lo, hi, columns=_WORKER_COLUMNS),
                 chunk_ticks,
-                times,
+                inputs.times_list,
                 barrier_timeout_s=timeout_s,
                 checkpoint_root=(
                     str(ckpt_cfg.root) if ckpt_cfg is not None else None
@@ -1390,6 +1252,7 @@ def run_sharded(
             dt_s,
             steps,
             plan,
+            inputs,
             shared,
             writer.shard_writer(0, n, columns=("inlet",)),
             chunk_ticks,

@@ -121,9 +121,9 @@ class WorkloadQueue(FleetWorkload):
     def total_demand_pct(self, time_s: float) -> float:
         """Offered demand at *time_s*: admit arrivals, sum active rates.
 
-        Mutates queue state (admission), so the engine calls it exactly
-        once per tick on every backend — part of the bit-identity
-        contract between the kernel and legacy loops.
+        Mutates queue state (admission), so the engine's tick loop
+        calls it exactly once per tick, before the tick's physics
+        step, on every in-process backend.
         """
         arrivals = self._arrival_s
         count = self._job_count

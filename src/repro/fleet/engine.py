@@ -1,29 +1,30 @@
 """Lock-step multi-server simulation engine.
 
 Steps every server in the fleet through the same tick sequence the
-single-server :class:`~repro.server.server.ServerSimulator` uses, with
-the hot per-step math — fan slew, airflow, the RC thermal substeps,
-and the power decomposition — evaluated as numpy arrays over all
-servers and sockets at once by the
-:class:`~repro.engine.kernel.FleetVectorKernel`.
+single-server :class:`~repro.server.server.ServerSimulator` uses.  One
+tick loop drives the in-process backends; per tick it evaluates the
+prologue (demand, CRAC supply, recirculated inlet) and the controller
+polls through the shared control plane of :mod:`repro.engine.control`,
+places demand with :meth:`FleetScheduler.place`, and advances a
+physics object through ``step_into``.
 
-Four backends are available:
+Three backends are available:
 
-* ``vector`` (default) — the kernelized loop: persistent ``(N, ·)``
-  state arrays feed the placement policy directly
+* ``vector`` (default) — the physics is the
+  :class:`~repro.engine.kernel.FleetVectorKernel`: persistent
+  ``(N, ·)`` state arrays feed the placement policy directly
   (:meth:`~repro.fleet.scheduler.PlacementPolicy.order_indices`),
   per-tick inputs (aggregate demand, CRAC supplies) are precomputed
-  for the whole horizon, and the physics writes straight into the
-  preallocated trace block.  Custom view-based policies transparently
-  fall back to per-tick :class:`ServerLoadView` construction.
-* ``vector-legacy`` — the pre-kernel per-tick loop over the same
-  batched physics (views rebuilt every tick, validated scheduling).
-  Kept as the bit-identical equivalence oracle and the baseline
-  ``benchmarks/bench_kernel.py`` measures the kernel speedup against.
-* ``reference`` — one real :class:`ServerSimulator` per server; the
-  ground truth the vectorized math is tested against and the naive
-  baseline of the scaling benchmark.
-* ``sharded`` — the ``vector`` loop partitioned across per-shard
+  for the whole horizon, and the batched physics writes straight into
+  the preallocated trace block.  Custom view-based policies
+  transparently fall back to per-tick :class:`ServerLoadView`
+  construction.
+* ``reference`` — one real :class:`ServerSimulator` per server behind
+  the kernel's physics interface, driven by the same loop: the physics
+  oracle the batched math is tested against, and the naive baseline of
+  ``benchmarks/bench_kernel.py``.  It also runs fleets whose servers
+  differ in socket count.
+* ``sharded`` — the ``vector`` physics partitioned across per-shard
   kernels (worker processes over shared memory, or in-process with
   ``shard_mode="inline"``) with trace columns streamed to
   memory-mapped ``.npy`` segments instead of held in RAM; traces are
@@ -47,7 +48,6 @@ noisy-sensor / ``sar``-window emulation for scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # observability taps; annotation-only imports
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import FanController
 from repro.core.controllers.default import FixedSpeedController
 from repro.engine.checkpoint import (
     CheckpointConfig,
@@ -80,13 +80,8 @@ from repro.engine.checkpoint import (
     require_fingerprint,
     resolve_checkpoint,
 )
-from repro.engine.kernel import (
-    COLD_START_SETTLE_S,
-    POLL_EPS_S,
-    FleetTickState,
-    FleetVectorKernel,
-    plan_tick_times,
-)
+from repro.engine.control import ControlSlice, TickInputs
+from repro.engine.kernel import COLD_START_SETTLE_S, FleetVectorKernel
 from repro.fleet.faults import FaultSchedule, FleetFaultPlan
 from repro.fleet.metrics import FleetMetrics, compute_fleet_metrics
 from repro.fleet.scheduler import (
@@ -94,42 +89,54 @@ from repro.fleet.scheduler import (
     FleetScheduler,
     FleetWorkload,
     RoundRobinPolicy,
-    ServerLoadView,
 )
-from repro.fleet.topology import (
-    Fleet,
-    RecirculationAmbient,
-    exhaust_temperature_rise_c,
-)
+from repro.fleet.topology import Fleet
+from repro.server.ambient import AmbientModel
 from repro.server.power import leakage_slope_w_per_c
 from repro.server.server import ServerSimulator
 from repro.server.thermal import substep_schedule
+from repro.units import airflow_heat_capacity_w_per_k
 from repro.workloads.profile import UtilizationProfile
 
-#: Poll-time comparison slack, seconds (matches the experiment runner).
-_POLL_EPS_S = POLL_EPS_S
+#: Checkpoint kind of the in-process loop (both in-process backends).
+_CHECKPOINT_KIND = "fleet-vector"
 
-#: Cold-start fan settle horizon, seconds (see the execution kernel).
-_COLD_START_SETTLE_S = COLD_START_SETTLE_S
+
+class _InletAmbient(AmbientModel):
+    """The inlet the tick loop computed for one server's current tick."""
+
+    def __init__(self, inlet_c: float):
+        self.inlet_c = inlet_c
+
+    def temperature_c(self, time_s: float) -> float:
+        """The installed inlet, whatever *time_s*."""
+        return self.inlet_c
 
 
 class _ReferenceBackend:
-    """One real :class:`ServerSimulator` per server (the naive loop)."""
+    """One real :class:`ServerSimulator` per server (the naive loop).
+
+    Offers the tick loop the physics surface of
+    :class:`~repro.engine.kernel.FleetVectorKernel`; every per-server
+    quantity comes from the wrapped simulator's own scalar code.
+    """
 
     def __init__(self, fleet: Fleet, seed: int, trip_on_critical: bool):
-        self.sims: List[ServerSimulator] = []
-        for i, (spec, supply) in enumerate(
-            zip(fleet.servers, fleet.supply_models())
-        ):
-            self.sims.append(
-                ServerSimulator(
-                    spec=spec,
-                    ambient=RecirculationAmbient(supply),
-                    seed=seed + i,
-                    trip_on_critical=trip_on_critical,
-                )
+        supply = fleet.supply_temperatures_c(0.0)
+        self.sims: List[ServerSimulator] = [
+            ServerSimulator(
+                spec=spec,
+                ambient=_InletAmbient(float(supply[i])),
+                seed=seed + i,
+                trip_on_critical=trip_on_critical,
             )
-        self.rpm = np.array([sim.fans.mean_rpm for sim in self.sims])
+            for i, spec in enumerate(fleet.servers)
+        ]
+
+    @property
+    def rpm(self) -> np.ndarray:
+        """Per-server mean rotor speed, RPM."""
+        return np.array([sim.fans.mean_rpm for sim in self.sims])
 
     def set_pstate(self, server_index: int, pstate_index: int) -> None:
         """Switch one wrapped simulator to *pstate_index*."""
@@ -139,23 +146,35 @@ class _ReferenceBackend:
         """The experiment protocol's pre-``t = 0`` idle settle, per sim."""
         for sim in self.sims:
             sim.set_fan_rpm(cold_start_rpm)
-            sim.fans.step(dt_s=_COLD_START_SETTLE_S)
+            sim.fans.step(dt_s=COLD_START_SETTLE_S)
             sim.settle_to_steady_state(utilization_pct=0.0)
-        self.rpm = np.array([sim.fans.mean_rpm for sim in self.sims])
 
-    def _views_data(self):
-        max_junction_c, avg_junction_c, leak_w, slope = [], [], [], []
-        for sim in self.sims:
-            junctions = sim.thermal.state.junction_c
-            max_junction_c.append(max(junctions))
-            avg_junction_c.append(sum(junctions) / len(junctions))
-            leak_w.append(
+    def _junctions(self):
+        return [sim.thermal.state.junction_c for sim in self.sims]
+
+    def _leakage_w(self) -> np.ndarray:
+        return np.array(
+            [
                 sum(
                     sim.power_model.socket_leakage_w(sock, t)
                     for sock, t in zip(sim.spec.sockets, junctions)
                 )
-            )
-            slope.append(
+                for sim, junctions in zip(self.sims, self._junctions())
+            ]
+        )
+
+    def initial_views_data(self):
+        """``(max_junction_c, leakage_w)`` before the first tick."""
+        return np.array([max(j) for j in self._junctions()]), self._leakage_w()
+
+    def mean_junction_c(self) -> np.ndarray:
+        """Per-server mean junction temperature, °C."""
+        return np.array([sum(j) / len(j) for j in self._junctions()])
+
+    def leakage_slope_w_per_c(self) -> np.ndarray:
+        """Per-server ``dP_leak/dT_j`` summed over sockets, W/°C."""
+        return np.array(
+            [
                 sum(
                     float(
                         leakage_slope_w_per_c(
@@ -164,72 +183,53 @@ class _ReferenceBackend:
                     )
                     for sock, t in zip(sim.spec.sockets, junctions)
                 )
-            )
-        return (
-            np.array(max_junction_c),
-            np.array(avg_junction_c),
-            np.array(leak_w),
-            np.array(slope),
+                for sim, junctions in zip(self.sims, self._junctions())
+            ]
         )
 
-    def step(
+    def step_into(
         self,
         dt_s: float,
+        substeps: int,
+        h: float,
         demand_pct: np.ndarray,
         rpm_command: np.ndarray,
         inlet_c: np.ndarray,
-        offsets_c: np.ndarray,
-    ) -> FleetTickState:
-        total, fan, airflow, rpm, dimm = [], [], [], [], []
-        executed, deficit, pstate = [], [], []
+        out_power: np.ndarray,
+        out_fan: np.ndarray,
+        out_junction: np.ndarray,
+        out_util: np.ndarray,
+        out_rpm: np.ndarray,
+        out_pstate: np.ndarray,
+        out_deficit: np.ndarray,
+    ):
+        """Step every simulator one tick; same contract as the kernel's.
+
+        Returns ``(air_capacity_w_per_k, leakage_w)``.  The simulators
+        integrate their own substeps (*substeps* and *h* are unused)
+        and trip on critical temperatures themselves.
+        """
+        airflow = np.empty(len(self.sims))
         for i, sim in enumerate(self.sims):
-            sim.ambient.set_offset(float(offsets_c[i]))
+            sim.ambient.inlet_c = float(inlet_c[i])
             sim.set_fan_rpm(float(rpm_command[i]))
+            demand = float(demand_pct[i])
             index = sim.power_model.pstate_index
             # The same per-step deficit term the simulator accumulates
             # internally, surfaced per tick for the fleet traces.
-            deficit.append(
-                sim.spec.dvfs.work_deficit_pct(float(demand_pct[i]), index)
-            )
-            pstate.append(index)
-            state = sim.step(dt_s, float(demand_pct[i]))
-            total.append(state.power.total_w)
-            fan.append(state.power.fan_w)
-            airflow.append(sim.fans.total_airflow_cfm())
-            rpm.append(state.mean_fan_rpm)
-            dimm.append(state.thermal.dimm_bank_c)
-            executed.append(state.utilization_pct)
-        max_junction_c, avg_junction_c, leak_w, slope = self._views_data()
-        self.rpm = np.array(rpm)
-        return FleetTickState(
-            total_power_w=np.array(total),
-            fan_power_w=np.array(fan),
-            airflow_cfm=np.array(airflow),
-            mean_rpm=self.rpm.copy(),
-            max_junction_c=max_junction_c,
-            avg_junction_c=avg_junction_c,
-            leakage_w=leak_w,
-            leakage_slope_w_per_c=slope,
-            dimm_bank_c=np.array(dimm),
-            executed_pct=np.array(executed),
-            work_deficit_pct=np.array(deficit),
-            pstate_index=np.array(pstate, dtype=int),
-        )
+            out_deficit[i] = sim.spec.dvfs.work_deficit_pct(demand, index)
+            out_pstate[i] = index
+            state = sim.step(dt_s, demand)
+            out_power[i] = state.power.total_w
+            out_fan[i] = state.power.fan_w
+            out_junction[i] = max(state.thermal.junction_c)
+            out_util[i] = state.utilization_pct
+            out_rpm[i] = state.mean_fan_rpm
+            airflow[i] = sim.fans.total_airflow_cfm()
+        return airflow_heat_capacity_w_per_k(airflow), self._leakage_w()
 
     def check_critical(self, trip: bool) -> None:
-        """The wrapped simulators trip during :meth:`step` themselves."""
-
-    def apply_supply_excursions(self, deltas_c: np.ndarray) -> None:
-        """Install per-server CRAC excursions on the wrapped ambients.
-
-        The sims read their inlet as ``(supply + excursion) + offset``,
-        matching the engine's inlet arithmetic term for term.
-        """
-        for sim, delta in zip(self.sims, deltas_c):
-            sim.ambient.set_excursion(float(delta))
-
-    def initial_views_data(self):
-        return self._views_data()
+        """The wrapped simulators trip during :meth:`step_into` themselves."""
 
 
 @dataclass
@@ -334,7 +334,7 @@ class FleetEngine:
         checkpoint: Optional[CheckpointConfig] = None,
         barrier_timeout_s: Optional[float] = None,
     ):
-        if backend not in ("vector", "vector-legacy", "reference", "sharded"):
+        if backend not in ("vector", "reference", "sharded"):
             raise ValueError(f"unknown backend {backend!r}")
         self.fleet = fleet
         if not isinstance(workload, FleetWorkload):
@@ -351,7 +351,7 @@ class FleetEngine:
         if workload.dynamic and backend == "sharded":
             raise ValueError(
                 "dynamic workloads are not supported on the sharded "
-                "backend; use 'vector' or 'vector-legacy'"
+                "backend; use 'vector' or 'reference'"
             )
         if workload.dynamic and checkpoint is not None:
             raise ValueError(
@@ -455,30 +455,6 @@ class FleetEngine:
         self.last_result: Optional[FleetResult] = None
 
     # ------------------------------------------------------------------
-    def _make_backend(self):
-        if self.backend in ("vector", "vector-legacy"):
-            return FleetVectorKernel(self.fleet, metrics=self.metrics)
-        return _ReferenceBackend(self.fleet, self.seed, self.trip_on_critical)
-
-    def _validated_command(self, index: int, rpm: float) -> float:
-        fan = self.fleet.servers[index].fan
-        if not fan.rpm_min <= rpm <= fan.rpm_max:
-            raise ValueError(
-                f"server {index}: rpm {rpm} outside supported range "
-                f"[{fan.rpm_min}, {fan.rpm_max}]"
-            )
-        return float(rpm)
-
-    def _validated_pstate(self, index: int, pstate: int) -> int:
-        ladder = self.fleet.servers[index].dvfs
-        if not 0 <= pstate < len(ladder):
-            raise ValueError(
-                f"server {index}: p-state {pstate} outside the "
-                f"{len(ladder)}-state ladder"
-            )
-        return int(pstate)
-
-    # ------------------------------------------------------------------
     # checkpoint / cooperative-stop plumbing
     # ------------------------------------------------------------------
     def request_stop(self) -> None:
@@ -517,18 +493,30 @@ class FleetEngine:
 
     def _write_run_checkpoint(
         self,
-        kind: str,
         tick: int,
         dt_s: float,
         steps: int,
         plan: Optional[FleetFaultPlan],
         trace: Dict[str, np.ndarray],
         state: Dict[str, np.ndarray],
-        extra_pickles: Sequence = (),
+        physics,
     ):
-        """Commit one atomic checkpoint after ``tick`` completed ticks."""
+        """Commit one atomic checkpoint after ``tick`` completed ticks.
+
+        The kernel's state goes in as arrays; the ``reference``
+        simulators, whose state is a tree of objects, are pickled.
+        """
         cfg = self.checkpoint
         writer = CheckpointWriter(cfg.root, tick)
+        if self.backend == "reference":
+            writer.pickle("backend", physics)
+        else:
+            state.update(
+                {
+                    f"kernel_{key}": value
+                    for key, value in physics.state_arrays().items()
+                }
+            )
         writer.arrays("state", state)
         writer.arrays("trace", {name: trace[name][:tick] for name in trace})
         writer.pickle(
@@ -541,8 +529,7 @@ class FleetEngine:
                 else None,
             },
         )
-        for name, obj in extra_pickles:
-            writer.pickle(name, obj)
+        kind = _CHECKPOINT_KIND
         path = writer.commit(kind, self._run_fingerprint(dt_s, steps, kind))
         prune_checkpoints(cfg.root, cfg.keep)
         self.last_checkpoint_path = path
@@ -552,13 +539,12 @@ class FleetEngine:
     def _load_run_checkpoint(
         self,
         resume_from,
-        kind: str,
         dt_s: float,
         steps: int,
         plan: Optional[FleetFaultPlan],
         trace: Dict[str, np.ndarray],
     ):
-        """Restore an in-memory-loop checkpoint; returns (tick, state, dir).
+        """Restore an in-process-loop checkpoint; returns (tick, state, dir).
 
         Verifies payload checksums and the run fingerprint, refills the
         trace prefix, and swaps in the pickled controllers, scheduler
@@ -566,6 +552,7 @@ class FleetEngine:
         """
         directory = resolve_checkpoint(resume_from)
         manifest = read_manifest(directory)
+        kind = _CHECKPOINT_KIND
         if manifest.get("kind") != kind:
             raise CheckpointError(
                 f"checkpoint at {directory} is a {manifest.get('kind')!r} "
@@ -599,21 +586,10 @@ class FleetEngine:
         self.last_checkpoint_path = directory
         return tick, state, directory
 
-    def run(
-        self,
-        dt_s: float = 1.0,
-        duration_s: Optional[float] = None,
-        resume_from=None,
-    ) -> FleetResult:
-        """Run the whole scenario and return traces plus metrics.
-
-        The ``vector`` backend executes the kernelized loop; the
-        ``vector-legacy`` and ``reference`` backends run the pre-kernel
-        per-tick loop (both produce the same traces as ``vector``, the
-        former bit for bit); the ``sharded`` backend partitions the
-        kernelized loop across shard workers with streamed traces
-        (bit-identical to ``vector``, see :mod:`repro.engine.sharded`).
-        """
+    def _prepare_run(
+        self, dt_s: float, duration_s: Optional[float], resume_from
+    ):
+        """Validate a run's grid, reset run state; ``(steps, plan)``."""
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
         if duration_s is None:
@@ -641,71 +617,46 @@ class FleetEngine:
         self.last_resume_tick = 0
         if resume_from is None:
             self.last_checkpoint_path = None
-        if self.backend == "vector":
-            return self._run_kernel(dt_s, steps, plan, resume_from)
+        return steps, plan
+
+    def run(
+        self,
+        dt_s: float = 1.0,
+        duration_s: Optional[float] = None,
+        resume_from=None,
+    ) -> FleetResult:
+        """Run the whole scenario and return traces plus metrics.
+
+        The ``vector`` and ``reference`` backends drain the in-process
+        tick loop (:meth:`run_stream` yields from the same loop); the
+        ``sharded`` backend partitions it across shard workers with
+        streamed traces (bit-identical to ``vector``, see
+        :mod:`repro.engine.sharded`).
+        """
+        steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
         if self.backend == "sharded":
             from repro.engine.sharded import run_sharded
 
             result = run_sharded(self, dt_s, steps, plan, resume_from)
         else:
-            result = self._run_legacy(dt_s, steps, plan, resume_from)
+            trace = self._alloc_traces(steps)
+            for _ in self._kernel_tick_stream(
+                dt_s, steps, plan, trace, resume_from
+            ):
+                pass
+            result = self._result_from_traces(dt_s, steps, trace, plan)
         self.last_result = result
         return result
 
     # ------------------------------------------------------------------
     # shared setup / teardown
     # ------------------------------------------------------------------
-    @staticmethod
-    def _build_views(
-        n, rack_of, executed, max_junction_c, inlet, leak_w, leak_slope, pstate_now
-    ) -> List[ServerLoadView]:
-        """Materialize per-server views for view-based policies.
-
-        Single source for both the legacy loop and the kernel loop's
-        custom-policy fallback, so the two paths cannot drift apart
-        field-wise.
-        """
-        return [
-            ServerLoadView(
-                index=i,
-                rack_index=int(rack_of[i]),
-                utilization_pct=float(executed[i]),
-                max_junction_c=float(max_junction_c[i]),
-                inlet_c=float(inlet[i]),
-                leakage_w=float(leak_w[i]),
-                leakage_slope_w_per_c=float(leak_slope[i]),
-                pstate_index=int(pstate_now[i]),
-            )
-            for i in range(n)
-        ]
-
-    def _reset_controllers(self, physics, n: int) -> np.ndarray:
-        self.scheduler.reset()
-        rpm_command = np.empty(n)
-        for i, controller in enumerate(self.controllers):
-            controller.reset()
-            initial = controller.initial_rpm()
-            rpm_command[i] = self._validated_command(
-                i, initial if initial is not None else float(physics.rpm[i])
-            )
-        return rpm_command
-
-    def _build_result(
+    def _result_from_traces(
         self,
-        dt_s,
-        steps,
-        trace_power,
-        trace_fan,
-        trace_junction,
-        trace_util,
-        trace_inlet,
-        trace_rpm,
-        trace_unserved,
-        trace_pstate,
-        trace_deficit,
-        plan: Optional[FleetFaultPlan] = None,
-        trace_respilled: Optional[np.ndarray] = None,
-        trace_fault_unserved: Optional[np.ndarray] = None,
+        dt_s: float,
+        steps: int,
+        trace: Dict[str, np.ndarray],
+        plan: Optional[FleetFaultPlan],
     ) -> FleetResult:
         n = self.fleet.server_count
         fault_active = (
@@ -713,23 +664,19 @@ class FleetEngine:
             if plan is not None
             else np.zeros((steps, n), dtype=bool)
         )
-        if trace_respilled is None:
-            trace_respilled = np.zeros(steps)
-        if trace_fault_unserved is None:
-            trace_fault_unserved = np.zeros(steps)
         metrics = compute_fleet_metrics(
             self.fleet,
             dt_s,
-            trace_power,
-            trace_fan,
-            trace_junction,
-            trace_util,
-            trace_inlet,
-            trace_unserved,
-            work_deficit_pct=trace_deficit,
+            trace["power"],
+            trace["fan"],
+            trace["junction"],
+            trace["util"],
+            trace["inlet"],
+            trace["unserved"],
+            work_deficit_pct=trace["deficit"],
             fault_active=fault_active,
-            respilled_pct=trace_respilled,
-            fault_unserved_pct=trace_fault_unserved,
+            respilled_pct=trace["respilled"],
+            fault_unserved_pct=trace["fault_unserved"],
         )
         controller_names = {c.name for c in self.controllers}
         return FleetResult(
@@ -742,19 +689,19 @@ class FleetEngine:
             backend=self.backend,
             dt_s=dt_s,
             times_s=np.arange(1, steps + 1) * dt_s,
-            total_power_w=trace_power,
-            fan_power_w=trace_fan,
-            max_junction_c=trace_junction,
-            utilization_pct=trace_util,
-            inlet_c=trace_inlet,
-            mean_rpm=trace_rpm,
-            unserved_pct=trace_unserved,
-            pstate_index=trace_pstate,
-            work_deficit_pct=trace_deficit,
+            total_power_w=trace["power"],
+            fan_power_w=trace["fan"],
+            max_junction_c=trace["junction"],
+            utilization_pct=trace["util"],
+            inlet_c=trace["inlet"],
+            mean_rpm=trace["rpm"],
+            unserved_pct=trace["unserved"],
+            pstate_index=trace["pstate"],
+            work_deficit_pct=trace["deficit"],
             metrics=metrics,
             fault_active=fault_active,
-            respilled_pct=trace_respilled,
-            fault_unserved_pct=trace_fault_unserved,
+            respilled_pct=trace["respilled"],
+            fault_unserved_pct=trace["fault_unserved"],
         )
 
     def _alloc_traces(self, steps: int) -> Dict[str, np.ndarray]:
@@ -773,30 +720,6 @@ class FleetEngine:
             "respilled": np.zeros(steps),
             "fault_unserved": np.zeros(steps),
         }
-
-    def _result_from_traces(
-        self,
-        dt_s: float,
-        steps: int,
-        trace: Dict[str, np.ndarray],
-        plan: Optional[FleetFaultPlan],
-    ) -> FleetResult:
-        return self._build_result(
-            dt_s,
-            steps,
-            trace["power"],
-            trace["fan"],
-            trace["junction"],
-            trace["util"],
-            trace["inlet"],
-            trace["rpm"],
-            trace["unserved"],
-            trace["pstate"],
-            trace["deficit"],
-            plan=plan,
-            trace_respilled=trace["respilled"],
-            trace_fault_unserved=trace["fault_unserved"],
-        )
 
     def _capture_flush(
         self,
@@ -820,24 +743,8 @@ class FleetEngine:
         )
 
     # ------------------------------------------------------------------
-    # kernelized loop (backend="vector")
+    # the in-process tick loop (backends "vector" and "reference")
     # ------------------------------------------------------------------
-    def _run_kernel(
-        self,
-        dt_s: float,
-        steps: int,
-        plan: Optional[FleetFaultPlan] = None,
-        resume_from=None,
-    ) -> FleetResult:
-        trace = self._alloc_traces(steps)
-        for _ in self._kernel_tick_stream(
-            dt_s, steps, plan, trace, resume_from
-        ):
-            pass
-        result = self._result_from_traces(dt_s, steps, trace, plan)
-        self.last_result = result
-        return result
-
     def run_stream(
         self,
         dt_s: float = 1.0,
@@ -846,8 +753,8 @@ class FleetEngine:
     ) -> Iterator["FleetTickView"]:
         """Incrementally run the scenario, yielding one view per tick.
 
-        The streaming twin of :meth:`run` for the ``vector`` backend:
-        the identical kernel loop executes underneath (bit-identical
+        The streaming twin of :meth:`run` for the in-process backends:
+        the identical tick loop executes underneath (bit-identical
         traces), but control returns to the caller after every tick —
         the live telemetry service paces this generator against wall
         clock.  After exhaustion the full :class:`FleetResult` is
@@ -856,34 +763,13 @@ class FleetEngine:
         The yielded arrays are views into the engine's trace block:
         read them, never write them.
         """
-        if self.backend != "vector":
+        if self.backend == "sharded":
             raise ValueError(
-                "run_stream requires the 'vector' backend, "
-                f"engine uses {self.backend!r}"
+                "run_stream drives the in-process tick loop; the "
+                "'sharded' backend cannot stream"
             )
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        if duration_s is None:
-            duration_s = self.workload.duration_s
-        steps = int(round(duration_s / dt_s))
-        if steps <= 0:
-            raise ValueError("workload too short for the configured dt_s")
-        if self.workload.dynamic and resume_from is not None:
-            raise ValueError(
-                "dynamic workloads cannot resume from a checkpoint"
-            )
-        self.workload.reset()
-        plan = (
-            self.faults.compile(self.fleet, steps, dt_s)
-            if self.faults is not None
-            else None
-        )
+        steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
         trace = self._alloc_traces(steps)
-        self._stop_requested = False
-        self._checkpoint_requested = False
-        self.last_resume_tick = 0
-        if resume_from is None:
-            self.last_checkpoint_path = None
 
         def stream() -> Iterator[FleetTickView]:
             for tick, time_s in self._kernel_tick_stream(
@@ -907,6 +793,28 @@ class FleetEngine:
 
         return stream()
 
+    def _build_physics(self, restored, directory):
+        """The backend's physics object: fresh, cold-started or restored."""
+        if self.backend == "reference":
+            if restored is not None:
+                return load_pickle(directory, "backend")
+            physics = _ReferenceBackend(
+                self.fleet, self.seed, self.trip_on_critical
+            )
+        else:
+            physics = FleetVectorKernel(self.fleet, metrics=self.metrics)
+            if restored is not None:
+                physics.load_state_arrays(
+                    {
+                        key: restored[f"kernel_{key}"]
+                        for key in FleetVectorKernel.STATE_KEYS
+                    }
+                )
+                return physics
+        if self.cold_start:
+            physics.force_cold_state(self.cold_start_rpm)
+        return physics
+
     def _kernel_tick_stream(
         self,
         dt_s: float,
@@ -915,87 +823,50 @@ class FleetEngine:
         trace: Dict[str, np.ndarray],
         resume_from=None,
     ) -> Iterator[tuple]:
-        """The kernelized per-tick loop, yielding ``(tick, time_s)``.
+        """The per-tick loop, yielding ``(tick, time_s)``.
 
         Single implementation behind both :meth:`run` (which drains
-        it) and :meth:`run_stream`; the yield sits after the tick's
-        trace rows are final.  ``time_s`` in the yielded pair is the
-        *end-of-tick* timestamp, matching ``FleetResult.times_s``.
+        it) and :meth:`run_stream`, for both in-process backends; the
+        yield sits after the tick's trace rows are final.  ``time_s``
+        in the yielded pair is the *end-of-tick* timestamp, matching
+        ``FleetResult.times_s``.
 
         With ``resume_from`` the restored ticks are re-yielded first
         (their trace rows come from the checkpoint), then the loop
-        continues from the checkpointed tick with restored kernel,
+        continues from the checkpointed tick with restored physics,
         controller, scheduler and fault-channel state — the completed
         trace is bit-identical to an uninterrupted run.
         """
         n = self.fleet.server_count
         start_tick = 0
         restored = None
+        directory = None
         if resume_from is not None:
-            start_tick, restored, _ = self._load_run_checkpoint(
-                resume_from, "fleet-vector", dt_s, steps, plan, trace
+            start_tick, restored, directory = self._load_run_checkpoint(
+                resume_from, dt_s, steps, plan, trace
             )
-        physics = FleetVectorKernel(self.fleet, metrics=self.metrics)
+        physics = self._build_physics(restored, directory)
+        control = ControlSlice(self.fleet, self.controllers, plan=plan)
         if restored is not None:
-            physics.load_state_arrays(
-                {
-                    key: restored[f"kernel_{key}"]
-                    for key in FleetVectorKernel.STATE_KEYS
-                }
-            )
-        elif self.cold_start:
-            physics.force_cold_state(self.cold_start_rpm)
-        rack_of = np.asarray(self.fleet.rack_index_of_server)
-        coupling = self.fleet.recirculation_matrix()
-        supply_models = self.fleet.supply_models()
-        constant_supply = all(rack.crac is None for rack in self.fleet.racks)
-        supply_now = self.fleet.supply_temperatures_c(0.0)
-        supply_base = supply_now
-
-        substeps, h = substep_schedule(dt_s)
-        times_pre = plan_tick_times(steps, dt_s)[:steps]
-        times_pre_list = times_pre.tolist()
-        # Whole-horizon per-tick inputs: aggregate demand (the profile
-        # is evaluated once, elementwise-stable) and, when any rack has
-        # a CRAC model, the per-server supply series.  Dynamic
-        # workloads (queue-backed) cannot be precomputed: their demand
-        # depends on what earlier ticks executed, so the loop asks
-        # them tick by tick — the same call order the legacy loop
-        # uses, keeping the two backends bit-identical.
-        dynamic_demand = self.workload.dynamic
-        totals_list = None
-        if not dynamic_demand:
-            totals_list = (
-                self.workload.profile.utilization_chunk(times_pre)
-                * self.workload.server_count
-            ).tolist()
-        supply_matrix = None
-        if not constant_supply:
-            supply_matrix = np.empty((steps, n))
-            for column, model in enumerate(supply_models):
-                supply_matrix[:, column] = model.temperature_chunk(times_pre)
-
-        if restored is not None:
-            rpm_command = restored["rpm_command"].copy()
-            next_poll = restored["next_poll"].copy()
-            next_poll_due = float(restored["next_poll_due"])
+            control.load_state_arrays(restored)
             executed = restored["executed"].copy()
             pstate_now = restored["pstate_now"].copy()
             exhaust_rise = restored["exhaust_rise"].copy()
             max_junction_c = restored["max_junction"].copy()
             leak_w = restored["leak_w"].copy()
         else:
-            rpm_command = self._reset_controllers(physics, n)
-            next_poll = np.zeros(n)
-            next_poll_due = 0.0
-
+            self.scheduler.reset()
+            control.reset(physics.rpm)
             executed = np.zeros(n)
             pstate_now = np.zeros(n, dtype=int)
             exhaust_rise = np.zeros(n)
-            max_junction_c, _, leak_w, _ = physics.initial_views_data()
-        # the junction mean feeds only controller observations, and the
-        # leakage slope only leakage-aware rankings / view fallbacks —
-        # both are computed lazily from the pre-step fleet state
+            max_junction_c, leak_w = physics.initial_views_data()
+        inputs = TickInputs(self.fleet, self.workload, plan, steps, dt_s)
+        times_pre_list = inputs.times_list
+        rack_of = np.asarray(self.fleet.rack_index_of_server)
+        substeps, h = substep_schedule(dt_s)
+        # the leakage slope feeds only leakage-aware rankings and view
+        # fallbacks, so it is computed lazily from the pre-step state
         slope_fn = physics.leakage_slope_w_per_c
 
         trace_power = trace["power"]
@@ -1010,13 +881,9 @@ class FleetEngine:
         trace_respilled = trace["respilled"]
         trace_fault_unserved = trace["fault_unserved"]
 
-        policy = self.scheduler.policy
-        controllers = self.controllers
-        decide_pstate_fns = [
-            getattr(controller, "decide_pstate", None)
-            for controller in controllers
-        ]
+        scheduler = self.scheduler
         apply_faults = plan is not None
+        dynamic_demand = self.workload.dynamic
 
         # Observability taps — both None in plain batch runs, in which
         # case the loop body takes the exact pre-existing path.
@@ -1048,7 +915,7 @@ class FleetEngine:
                 ),
                 self.metrics.timer(
                     "repro_fleet_thermal_step",
-                    "Vectorized physics step (RC substeps + power)",
+                    "Physics step (RC substeps + power)",
                 ),
                 self.metrics.timer(
                     "repro_fleet_trace_write",
@@ -1064,140 +931,45 @@ class FleetEngine:
 
         for tick in range(start_tick, steps):
             time_s = times_pre_list[tick]
-            total_demand = (
-                totals_list[tick]
-                if totals_list is not None
-                else self.workload.total_demand_pct(time_s)
-            )
-            if supply_matrix is not None:
-                supply_now = supply_matrix[tick]
-            elif apply_faults:
-                supply_now = supply_base
-            if apply_faults and plan.has_excursions:
-                supply_now = supply_now + plan.supply_delta[tick]
-            offsets = coupling @ exhaust_rise
-            inlet = supply_now + offsets
+            total_demand = inputs.demand_total(tick)
+            inlet = inputs.inlet(tick, exhaust_rise)
 
-            outage_now = apply_faults and plan.outage_any[tick]
             if timers is not None:
                 _t0 = perf_counter()
-            arrays = FleetLoadArrays(
-                utilization_pct=executed,
-                max_junction_c=max_junction_c,
-                inlet_c=inlet,
-                leakage_w=leak_w,
-                pstate_index=pstate_now,
-                rack_index=rack_of,
-                leakage_slope_fn=slope_fn,
+            (
+                decision,
+                trace_respilled[tick],
+                trace_fault_unserved[tick],
+            ) = scheduler.place(
+                FleetLoadArrays(
+                    utilization_pct=executed,
+                    max_junction_c=max_junction_c,
+                    inlet_c=inlet,
+                    leakage_w=leak_w,
+                    pstate_index=pstate_now,
+                    rack_index=rack_of,
+                    leakage_slope_fn=slope_fn,
+                ),
+                total_demand,
+                plan.outage[tick]
+                if apply_faults and plan.outage_any[tick]
+                else None,
             )
-            order = policy.order_indices(arrays)
-            if order is not None:
-                if outage_now:
-                    # degraded fill plus the all-up counterfactual —
-                    # both along the single policy ranking, so the
-                    # respill/SLA attribution needs no second ranking
-                    out_row = plan.outage[tick]
-                    order = np.asarray(order)
-                    counterfactual = self.scheduler.assign_indexed(
-                        order, n, total_demand
-                    )
-                    decision = self.scheduler.assign_indexed(
-                        order[~out_row[order]], n, total_demand
-                    )
-                    trace_respilled[tick] = float(
-                        counterfactual.allocations_pct[out_row].sum()
-                    )
-                    trace_fault_unserved[tick] = max(
-                        0.0,
-                        decision.unserved_pct - counterfactual.unserved_pct,
-                    )
-                else:
-                    decision = self.scheduler.assign_indexed(
-                        order, n, total_demand
-                    )
-            else:
-                # view-based custom policy: full legacy scheduling path
-                views = self._build_views(
-                    n,
-                    rack_of,
-                    executed,
-                    max_junction_c,
-                    inlet,
-                    leak_w,
-                    arrays.leakage_slope_w_per_c,
-                    pstate_now,
-                )
-                if outage_now:
-                    out_row = plan.outage[tick]
-                    decision, counterfactual = self.scheduler.assign_with_spill(
-                        views, total_demand, ~out_row
-                    )
-                    trace_respilled[tick] = float(
-                        counterfactual.allocations_pct[out_row].sum()
-                    )
-                    trace_fault_unserved[tick] = max(
-                        0.0,
-                        decision.unserved_pct - counterfactual.unserved_pct,
-                    )
-                else:
-                    decision = self.scheduler.assign(views, total_demand)
             if timers is not None:
                 timers[0].add(perf_counter() - _t0)
-
-            if time_s >= next_poll_due - _POLL_EPS_S:
-                if timers is not None:
-                    _t0 = perf_counter()
-                avg_junction_c = physics.t_j.mean(axis=1)
-                for i in np.nonzero(time_s >= next_poll - _POLL_EPS_S)[0]:
-                    controller = controllers[i]
-                    max_c = float(max_junction_c[i])
-                    avg_c = float(avg_junction_c[i])
-                    if apply_faults and plan.has_sensor_faults:
-                        max_c, avg_c = plan.transform_observation(
-                            int(i), time_s, max_c, avg_c
-                        )
-                    # A dropped-out channel (NaN reading) makes the BMC
-                    # hold the last fan and p-state commands; the poll
-                    # clock still advances.
-                    if not (isnan(max_c) or isnan(avg_c)):
-                        observation = ControllerObservation(
-                            time_s=time_s,
-                            max_cpu_temperature_c=max_c,
-                            avg_cpu_temperature_c=avg_c,
-                            utilization_pct=float(executed[i]),
-                            current_rpm_command=float(rpm_command[i]),
-                        )
-                        wanted = controller.decide(observation)
-                        if wanted is not None and wanted != rpm_command[i]:
-                            rpm_command[i] = self._validated_command(i, wanted)
-                        # Coordinated controllers additionally command a
-                        # p-state, polled on the same cadence and in the
-                        # same order as the single-server runner.
-                        decide_pstate = decide_pstate_fns[i]
-                        if decide_pstate is not None:
-                            wanted_pstate = decide_pstate(observation)
-                            if wanted_pstate is not None:
-                                physics.set_pstate(
-                                    int(i),
-                                    self._validated_pstate(
-                                        int(i), int(wanted_pstate)
-                                    ),
-                                )
-                    # Advance past the current time: with dt_s larger
-                    # than the poll interval a single increment would
-                    # let the poll clock fall unboundedly behind.
-                    while time_s >= next_poll[i] - _POLL_EPS_S:
-                        next_poll[i] += controller.poll_interval_s
-                next_poll_due = next_poll.min()
-                if timers is not None:
-                    timers[1].add(perf_counter() - _t0)
+                _t0 = perf_counter()
+            control.poll(time_s, physics, max_junction_c, executed)
+            if timers is not None:
+                timers[1].add(perf_counter() - _t0)
 
             # a degraded fan bank caps the achievable rotor speed below
             # the controller's command (the command itself is untouched)
             if apply_faults and plan.has_fan_faults:
-                actuated_rpm = np.minimum(rpm_command, plan.rpm_cap[tick])
+                actuated_rpm = np.minimum(
+                    control.rpm_command, plan.rpm_cap[tick]
+                )
             else:
-                actuated_rpm = rpm_command
+                actuated_rpm = control.rpm_command
 
             if timers is not None:
                 _t0 = perf_counter()
@@ -1221,8 +993,8 @@ class FleetEngine:
             max_junction_c = trace_junction[tick]
             executed = trace_util[tick]
             pstate_now = trace_pstate[tick]
-            # exhaust_temperature_rise_c, with the already-computed
-            # stream heat capacity (identical expression and operands)
+            # the exhaust temperature rise P / (m_dot c_p), with the
+            # stream heat capacity the step already computed
             exhaust_rise = trace_power[tick] / air_capacity
             trace_inlet[tick] = inlet
             trace_unserved[tick] = decision.unserved_pct
@@ -1252,14 +1024,8 @@ class FleetEngine:
                     or self._stop_requested
                 )
             ):
-                state = {
-                    f"kernel_{key}": value
-                    for key, value in physics.state_arrays().items()
-                }
+                state = control.state_arrays()
                 state.update(
-                    rpm_command=rpm_command.copy(),
-                    next_poll=next_poll.copy(),
-                    next_poll_due=np.float64(next_poll_due),
                     executed=np.array(executed),
                     pstate_now=np.array(pstate_now),
                     exhaust_rise=np.array(exhaust_rise),
@@ -1267,7 +1033,7 @@ class FleetEngine:
                     leak_w=np.array(leak_w),
                 )
                 self._write_run_checkpoint(
-                    "fleet-vector", tick + 1, dt_s, steps, plan, trace, state
+                    tick + 1, dt_s, steps, plan, trace, state, physics
                 )
             if self._stop_requested and tick + 1 < steps:
                 raise RunInterrupted(
@@ -1284,286 +1050,3 @@ class FleetEngine:
             self.metrics.gauge(
                 "repro_fleet_sim_time_seconds", "Simulated seconds completed"
             ).set(steps * dt_s)
-
-    # ------------------------------------------------------------------
-    # pre-kernel loop (backends "vector-legacy" and "reference")
-    # ------------------------------------------------------------------
-    def _run_legacy(
-        self,
-        dt_s: float,
-        steps: int,
-        plan: Optional[FleetFaultPlan] = None,
-        resume_from=None,
-    ) -> FleetResult:
-        n = self.fleet.server_count
-        trace = self._alloc_traces(steps)
-        start_tick = 0
-        restored = None
-        if resume_from is not None:
-            start_tick, restored, resume_dir = self._load_run_checkpoint(
-                resume_from, "fleet-legacy", dt_s, steps, plan, trace
-            )
-        if restored is not None and self.backend == "reference":
-            physics = load_pickle(resume_dir, "backend")
-        else:
-            physics = self._make_backend()
-            if restored is not None:
-                physics.load_state_arrays(
-                    {
-                        key: restored[f"kernel_{key}"]
-                        for key in FleetVectorKernel.STATE_KEYS
-                    }
-                )
-            elif self.cold_start:
-                physics.force_cold_state(self.cold_start_rpm)
-        rack_of = self.fleet.rack_index_of_server
-        coupling = self.fleet.recirculation_matrix()
-        supply_models = self.fleet.supply_models()
-        constant_supply = all(rack.crac is None for rack in self.fleet.racks)
-        supply_now = self.fleet.supply_temperatures_c(0.0)
-
-        if restored is not None:
-            rpm_command = restored["rpm_command"].copy()
-            next_poll = restored["next_poll"].copy()
-            executed = restored["executed"].copy()
-            pstate_now = restored["pstate_now"].copy()
-            exhaust_rise = restored["exhaust_rise"].copy()
-            max_junction_c = restored["max_junction"].copy()
-            avg_junction_c = restored["avg_junction"].copy()
-            leak_w = restored["leak_w"].copy()
-            leak_slope = restored["leak_slope"].copy()
-        else:
-            rpm_command = self._reset_controllers(physics, n)
-            next_poll = np.zeros(n)
-
-            executed = np.zeros(n)
-            pstate_now = np.zeros(n, dtype=int)
-            exhaust_rise = np.zeros(n)
-            max_junction_c, avg_junction_c, leak_w, leak_slope = physics.initial_views_data()
-
-        trace_power = trace["power"]
-        trace_fan = trace["fan"]
-        trace_junction = trace["junction"]
-        trace_util = trace["util"]
-        trace_inlet = trace["inlet"]
-        trace_rpm = trace["rpm"]
-        trace_unserved = trace["unserved"]
-        trace_pstate = trace["pstate"]
-        trace_deficit = trace["deficit"]
-        trace_respilled = trace["respilled"]
-        trace_fault_unserved = trace["fault_unserved"]
-
-        apply_faults = plan is not None
-        apply_excursions = getattr(physics, "apply_supply_excursions", None)
-        dynamic_demand = self.workload.dynamic
-
-        # Live capture rides the same trace-row seam as the kernel
-        # loop, so captured streams are backend-independent.
-        capture = self.capture
-        times_rec = np.arange(1, steps + 1) * dt_s
-        flush_start = 0
-        capture_rows = {
-            "power": trace_power,
-            "fan": trace_fan,
-            "junction": trace_junction,
-            "util": trace_util,
-            "inlet": trace_inlet,
-            "rpm": trace_rpm,
-            "unserved": trace_unserved,
-        }
-        if capture is not None:
-            capture.bind(n)
-            # replay the restored prefix in the original flush slices
-            # (see the kernel loop)
-            while flush_start + capture.chunk_ticks <= start_tick:
-                sl = slice(flush_start, flush_start + capture.chunk_ticks)
-                capture.flush(
-                    times_rec[sl],
-                    {k: v[sl] for k, v in capture_rows.items() if v.ndim == 2},
-                    unserved_pct=trace_unserved[sl],
-                )
-                flush_start += capture.chunk_ticks
-
-        ckpt_cfg = self.checkpoint
-        ckpt_every = ckpt_cfg.every_ticks(dt_s) if ckpt_cfg is not None else 0
-
-        time_s = float(restored["time_s"]) if restored is not None else 0.0
-        for tick in range(start_tick, steps):
-            if not constant_supply:
-                supply_now = np.array(
-                    [m.temperature_c(time_s) for m in supply_models]
-                )
-            if apply_faults and plan.has_excursions:
-                # same term order as the kernel loop (and as
-                # RecirculationAmbient): (supply + excursion) + offset
-                inlet_supply = supply_now + plan.supply_delta[tick]
-                if apply_excursions is not None:
-                    apply_excursions(plan.supply_delta[tick])
-            else:
-                inlet_supply = supply_now
-            offsets = coupling @ exhaust_rise
-            inlet = inlet_supply + offsets
-
-            views = self._build_views(
-                n,
-                rack_of,
-                executed,
-                max_junction_c,
-                inlet,
-                leak_w,
-                leak_slope,
-                pstate_now,
-            )
-            if apply_faults and plan.outage_any[tick]:
-                out_row = plan.outage[tick]
-                decision, counterfactual = self.scheduler.assign_with_spill(
-                    views, self.workload.total_demand_pct(time_s), ~out_row
-                )
-                trace_respilled[tick] = float(
-                    counterfactual.allocations_pct[out_row].sum()
-                )
-                trace_fault_unserved[tick] = max(
-                    0.0, decision.unserved_pct - counterfactual.unserved_pct
-                )
-            else:
-                decision = self.scheduler.assign(
-                    views, self.workload.total_demand_pct(time_s)
-                )
-
-            for i in np.nonzero(time_s >= next_poll - _POLL_EPS_S)[0]:
-                controller = self.controllers[i]
-                max_c = float(max_junction_c[i])
-                avg_c = float(avg_junction_c[i])
-                if apply_faults and plan.has_sensor_faults:
-                    max_c, avg_c = plan.transform_observation(
-                        int(i), time_s, max_c, avg_c
-                    )
-                # A dropped-out channel (NaN reading) makes the BMC
-                # hold the last fan and p-state commands; the poll
-                # clock still advances.
-                if not (isnan(max_c) or isnan(avg_c)):
-                    observation = ControllerObservation(
-                        time_s=time_s,
-                        max_cpu_temperature_c=max_c,
-                        avg_cpu_temperature_c=avg_c,
-                        utilization_pct=float(executed[i]),
-                        current_rpm_command=float(rpm_command[i]),
-                    )
-                    wanted = controller.decide(observation)
-                    if wanted is not None and wanted != rpm_command[i]:
-                        rpm_command[i] = self._validated_command(i, wanted)
-                    # Coordinated controllers additionally command a
-                    # p-state, polled on the same cadence and in the same
-                    # order as the single-server runner.
-                    decide_pstate = getattr(controller, "decide_pstate", None)
-                    if decide_pstate is not None:
-                        wanted_pstate = decide_pstate(observation)
-                        if wanted_pstate is not None:
-                            physics.set_pstate(
-                                int(i),
-                                self._validated_pstate(
-                                    int(i), int(wanted_pstate)
-                                ),
-                            )
-                # Advance past the current time: with dt_s larger than
-                # the poll interval a single increment would let the
-                # poll clock fall unboundedly behind the simulation.
-                while time_s >= next_poll[i] - _POLL_EPS_S:
-                    next_poll[i] += controller.poll_interval_s
-
-            # degraded fan banks cap the achievable speed (see the
-            # kernel loop)
-            if apply_faults and plan.has_fan_faults:
-                actuated_rpm = np.minimum(rpm_command, plan.rpm_cap[tick])
-            else:
-                actuated_rpm = rpm_command
-
-            demand = decision.allocations_pct
-            state = physics.step(dt_s, demand, actuated_rpm, inlet, offsets)
-            physics.check_critical(self.trip_on_critical)
-
-            max_junction_c = state.max_junction_c
-            avg_junction_c = state.avg_junction_c
-            leak_w = state.leakage_w
-            leak_slope = state.leakage_slope_w_per_c
-            executed = state.executed_pct
-            pstate_now = state.pstate_index
-            exhaust_rise = exhaust_temperature_rise_c(
-                state.total_power_w, state.airflow_cfm
-            )
-
-            trace_power[tick] = state.total_power_w
-            trace_fan[tick] = state.fan_power_w
-            trace_junction[tick] = state.max_junction_c
-            trace_util[tick] = executed
-            trace_inlet[tick] = inlet
-            trace_rpm[tick] = state.mean_rpm
-            trace_unserved[tick] = decision.unserved_pct
-            trace_pstate[tick] = state.pstate_index
-            trace_deficit[tick] = state.work_deficit_pct
-            if dynamic_demand:
-                self.workload.record_executed(
-                    time_s, float(executed.sum()), dt_s
-                )
-            time_s += dt_s
-
-            if capture is not None and (
-                tick + 1 - flush_start >= capture.chunk_ticks
-                or tick + 1 == steps
-            ):
-                sl = slice(flush_start, tick + 1)
-                capture.flush(
-                    times_rec[sl],
-                    {k: v[sl] for k, v in capture_rows.items() if v.ndim == 2},
-                    unserved_pct=trace_unserved[sl],
-                )
-                flush_start = tick + 1
-
-            if (
-                ckpt_cfg is not None
-                and tick + 1 < steps
-                and (
-                    (tick + 1) % ckpt_every == 0
-                    or self._checkpoint_requested
-                    or self._stop_requested
-                )
-            ):
-                state = {
-                    "rpm_command": rpm_command.copy(),
-                    "next_poll": next_poll.copy(),
-                    "executed": np.array(executed),
-                    "pstate_now": np.array(pstate_now),
-                    "exhaust_rise": np.array(exhaust_rise),
-                    "max_junction": np.array(max_junction_c),
-                    "avg_junction": np.array(avg_junction_c),
-                    "leak_w": np.array(leak_w),
-                    "leak_slope": np.array(leak_slope),
-                    "time_s": np.float64(time_s),
-                }
-                extra_pickles = []
-                if self.backend == "reference":
-                    extra_pickles.append(("backend", physics))
-                else:
-                    state.update(
-                        {
-                            f"kernel_{key}": value
-                            for key, value in physics.state_arrays().items()
-                        }
-                    )
-                self._write_run_checkpoint(
-                    "fleet-legacy",
-                    tick + 1,
-                    dt_s,
-                    steps,
-                    plan,
-                    trace,
-                    state,
-                    extra_pickles,
-                )
-            if self._stop_requested and tick + 1 < steps:
-                raise RunInterrupted(
-                    f"fleet run stopped at tick {tick + 1}/{steps}",
-                    self.last_checkpoint_path,
-                )
-
-        return self._result_from_traces(dt_s, steps, trace, plan)

@@ -6,9 +6,10 @@ precisely when conditions degrade, and its prognostics reference
 failing sensors and components from telemetry.  This module brings
 those failure modes to fleet scale as *declarative, time-windowed
 events* that the :class:`~repro.fleet.engine.FleetEngine` injects into
-every backend — the kernelized ``vector`` loop, the ``vector-legacy``
-equivalence oracle, and the per-simulator ``reference`` loop — without
-breaking the bit-identical vector/legacy trace contract:
+every backend — the batched ``vector`` kernel, the per-simulator
+``reference`` oracle (both through the one in-process tick loop), and
+the ``sharded`` workers — without breaking the bit-identical
+vector/sharded trace contract:
 
 * :class:`SensorFaultEvent` — one server's CSTH thermal channel lies
   to its controller, reusing the five single-server
@@ -25,9 +26,8 @@ breaking the bit-identical vector/legacy trace contract:
   anywhere is counted as fault-attributable SLA loss.
 * :class:`CracExcursionEvent` — a CRAC/ambient disturbance transient:
   the supply temperature of one rack (or the whole room) is offset by
-  ``delta_c`` for the window, layered onto
-  :class:`~repro.fleet.topology.RecirculationAmbient` below the
-  recirculation coupling.
+  ``delta_c`` for the window, below the recirculation coupling
+  (inlet = ``(supply + excursion) + recirculation``).
 
 A :class:`FaultSchedule` is the declarative container (a frozen
 dataclass tree of primitives, so scenario sweeps content-hash it
@@ -449,8 +449,9 @@ class FleetFaultPlan:
     """A compiled fault schedule: whole-horizon per-tick mask arrays.
 
     Produced by :meth:`FaultSchedule.compile` for one run; consumed by
-    both fleet engine loops (the masks are shared, so the two backends
-    cannot disagree about when an event is active).  All arrays are
+    the fleet tick loop and the sharded workers (the masks are shared,
+    so the backends cannot disagree about when an event is active).
+    All arrays are
     ``(steps, n)`` in the fleet's flat server order.
     """
 
@@ -510,7 +511,7 @@ class FleetFaultPlan:
         max and mean junction readings); composition is the
         single-server :meth:`FaultableSensor.transform` — the max
         reading goes through the whole fault chain first, then the
-        mean, a fixed order both backends share so stateful faults
+        mean, a fixed order every backend shares so stateful faults
         (spikes) consume their RNG identically.  A dropout yields NaN,
         which the engine treats as "hold the last command".
         """

@@ -124,6 +124,23 @@ class FleetLoadArrays:
             self._slope = self._slope_fn()
         return self._slope
 
+    def views(self) -> List[ServerLoadView]:
+        """One :class:`ServerLoadView` per server, for view policies."""
+        slope = self.leakage_slope_w_per_c
+        return [
+            ServerLoadView(
+                index=i,
+                rack_index=int(self.rack_index[i]),
+                utilization_pct=float(self.utilization_pct[i]),
+                max_junction_c=float(self.max_junction_c[i]),
+                inlet_c=float(self.inlet_c[i]),
+                leakage_w=float(self.leakage_w[i]),
+                leakage_slope_w_per_c=float(slope[i]),
+                pstate_index=int(self.pstate_index[i]),
+            )
+            for i in range(len(self.utilization_pct))
+        ]
+
 
 class PlacementPolicy(ABC):
     """Ranks servers; earlier in the order means filled first."""
@@ -366,6 +383,47 @@ class FleetScheduler:
             total_demand_pct,
         )
         return degraded, counterfactual
+
+    def place(
+        self,
+        arrays: FleetLoadArrays,
+        total_demand_pct: float,
+        outage: Optional[np.ndarray] = None,
+    ) -> Tuple[SchedulingDecision, float, float]:
+        """One tick's placement: ``(decision, respilled, fault_unserved)``.
+
+        Ranks with :meth:`PlacementPolicy.order_indices` and fills with
+        :meth:`assign_indexed`; policies without an array ranking fall
+        back to views and :meth:`assign`.  On an outage tick (*outage*
+        marks the down servers) the degraded fill comes with its
+        all-servers-up counterfactual along the same single ranking
+        (see :meth:`assign_with_spill`): the counterfactual work that
+        landed on down servers is the respilled work, and unserved
+        demand beyond the counterfactual's is fault-attributable.
+        Both attribution terms are 0.0 on other ticks.
+        """
+        order = self.policy.order_indices(arrays)
+        if order is None:
+            views = arrays.views()
+            if outage is None:
+                return self.assign(views, total_demand_pct), 0.0, 0.0
+            decision, counterfactual = self.assign_with_spill(
+                views, total_demand_pct, ~outage
+            )
+        else:
+            n = len(arrays.utilization_pct)
+            if outage is None:
+                return self.assign_indexed(order, n, total_demand_pct), 0.0, 0.0
+            order = np.asarray(order)
+            counterfactual = self.assign_indexed(order, n, total_demand_pct)
+            decision = self.assign_indexed(
+                order[~outage[order]], n, total_demand_pct
+            )
+        respilled = float(counterfactual.allocations_pct[outage].sum())
+        fault_unserved = max(
+            0.0, decision.unserved_pct - counterfactual.unserved_pct
+        )
+        return decision, respilled, fault_unserved
 
     def assign_indexed(
         self, order: np.ndarray, server_count: int, total_demand_pct: float

@@ -11,10 +11,10 @@ supplies the missing physical context:
   *j*'s exhaust temperature rise that re-enters server *i*'s inlet —
   the coupling that makes data-center inlets warmer than the CRAC
   supply (hot-aisle bypass, top-of-rack recirculation),
-* :class:`RecirculationAmbient` wraps a CRAC supply model with the
-  mutable recirculation offset the fleet engine updates each tick, so
-  an unmodified :class:`~repro.server.server.ServerSimulator` sees the
-  coupled inlet through its ordinary ambient interface.
+* :class:`RecirculationAmbient` wraps a CRAC supply model with a
+  mutable recirculation offset, so an unmodified
+  :class:`~repro.server.server.ServerSimulator` sees a coupled inlet
+  through its ordinary ambient interface.
 
 With ``K = 0`` and a constant supply, every server sees exactly the
 paper's isolated-room conditions.
@@ -35,7 +35,7 @@ from repro.units import airflow_heat_capacity_w_per_k, validate_temperature_c
 class RecirculationAmbient(AmbientModel):
     """A CRAC supply model plus a mutable recirculation offset.
 
-    The fleet engine recomputes the offset every tick from the coupled
+    The caller recomputes the offset every tick from the coupled
     servers' exhaust heat; with the offset at zero this is exactly the
     wrapped supply model (an isolated server).
     """
@@ -43,7 +43,6 @@ class RecirculationAmbient(AmbientModel):
     def __init__(self, supply: AmbientModel):
         self.supply = supply
         self._offset_c = 0.0
-        self._excursion_c = 0.0
 
     @property
     def offset_c(self) -> float:
@@ -59,29 +58,8 @@ class RecirculationAmbient(AmbientModel):
             )
         self._offset_c = float(offset_c)
 
-    @property
-    def excursion_c(self) -> float:
-        """Current CRAC setpoint excursion layered onto the supply, °C."""
-        return self._excursion_c
-
-    def set_excursion(self, delta_c: float) -> None:
-        """Install a supply-setpoint excursion (may be negative).
-
-        Models a CRAC disturbance transient (see
-        :mod:`repro.fleet.faults`): the excursion shifts the *supply*
-        below the recirculation offset, so the fleet engine's inlet
-        arithmetic ``(supply + excursion) + recirculation`` is
-        reproduced term for term.
-        """
-        if not np.isfinite(delta_c):
-            raise ValueError(f"excursion must be finite, got {delta_c!r}")
-        self._excursion_c = float(delta_c)
-
     def temperature_c(self, time_s: float) -> float:
-        supply = self.supply.temperature_c(time_s)
-        if self._excursion_c:
-            supply = supply + self._excursion_c
-        return supply + self._offset_c
+        return self.supply.temperature_c(time_s) + self._offset_c
 
 
 def exhaust_temperature_rise_c(power_w, airflow_cfm):

@@ -158,7 +158,7 @@ class TestCheckpointContainer:
 # differential resume, per backend
 # ----------------------------------------------------------------------
 class TestFleetResume:
-    @pytest.mark.parametrize("backend", ["vector", "vector-legacy"])
+    @pytest.mark.parametrize("backend", ["vector", "reference"])
     @pytest.mark.parametrize("with_faults", [False, True])
     def test_resume_bit_identical(self, tmp_path, backend, with_faults):
         faults = make_faults() if with_faults else None

@@ -360,18 +360,35 @@ class TestDynamicWorkloadGuards:
                 checkpoint=CheckpointConfig(directory=tmp_path),
             )
 
-    def test_vector_matches_legacy_with_queue(self, small_fleet):
-        """The new per-tick demand seam is bit-identical across loops."""
-        results = {}
-        for backend in ("vector", "vector-legacy"):
-            queue = self.make_queue(small_fleet)
+    def test_reference_matches_vector_with_queue(self, small_fleet):
+        """The per-tick demand seam drives both in-process backends
+        alike: identical demand, placement and queue progress, physics
+        within the backend tolerance contract."""
+        results, queues = {}, {}
+        for backend in ("vector", "reference"):
+            queues[backend] = self.make_queue(small_fleet)
             results[backend] = FleetEngine(
                 small_fleet,
-                queue,
+                queues[backend],
                 controller_factory=lambda i: PIController(),
                 backend=backend,
             ).run(dt_s=5.0)
-        assert_traces_equal(results["vector"], results["vector-legacy"])
+        vec, ref = results["vector"], results["reference"]
+        for name in ("utilization_pct", "unserved_pct", "mean_rpm"):
+            np.testing.assert_array_equal(
+                getattr(vec, name), getattr(ref, name), err_msg=name
+            )
+        np.testing.assert_allclose(
+            vec.max_junction_c, ref.max_junction_c, rtol=0, atol=1e-7
+        )
+        np.testing.assert_allclose(
+            vec.total_power_w, ref.total_power_w, rtol=0, atol=1e-6
+        )
+        assert vec.utilization_pct.sum() > 0.0
+        end_s = float(vec.times_s[-1])
+        assert queues["vector"].stats(end_s) == queues["reference"].stats(
+            end_s
+        )
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +410,7 @@ class TestFacilityEngine:
         "backend,kwargs",
         [
             ("vector", {}),
-            ("vector-legacy", {}),
+            ("vector", {"cold_start": True}),
             ("reference", {}),
             ("sharded", {"shards": 2, "shard_mode": "inline"}),
         ],

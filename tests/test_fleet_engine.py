@@ -253,8 +253,8 @@ class TestBackendEquivalence:
 
     def test_vector_matches_reference_with_time_varying_supply(self):
         """A sinusoidal CRAC supply under recirculation coupling: the
-        supply evaluation and the RecirculationAmbient offset path must
-        agree between backends while the inlet actually varies."""
+        backends must agree while the inlet actually varies, and the
+        inlet must follow the scalar supply evaluation."""
         spec = default_server_spec()
         racks = tuple(
             Rack(

@@ -1,8 +1,9 @@
 """Fleet fault injection: schedules, compilation, engine semantics.
 
 The acceptance contract pinned here: a compound fault drill runs
-bit-identically on ``vector`` and ``vector-legacy``, an all-empty
-schedule reproduces the fault-free traces exactly, outage servers
+bit-identically on ``vector`` and ``sharded`` (and within tolerance on
+``reference``), an all-empty schedule reproduces the fault-free traces
+exactly, outage servers
 execute zero work while their share respills, fan derates cap the
 actuated speed, CRAC excursions shift the affected inlets, and the
 degraded-mode metrics attribute the damage.
@@ -199,16 +200,24 @@ class TestEngineFaultSemantics:
             backend: run_fleet(
                 small_fleet, profile, backend, drill_schedule()
             )
-            for backend in ("vector", "vector-legacy", "reference")
+            for backend in ("vector", "reference")
         }
+        runs["sharded"] = run_fleet(
+            small_fleet,
+            profile,
+            "sharded",
+            drill_schedule(),
+            shards=2,
+            shard_mode="inline",
+        )
         runs["healthy"] = run_fleet(small_fleet, profile, "vector", None)
         return runs
 
-    def test_drill_bit_identical_vector_vs_legacy(self, drill_runs):
+    def test_drill_bit_identical_vector_vs_sharded(self, drill_runs):
         for name in FLEET_TRACES:
             np.testing.assert_array_equal(
                 getattr(drill_runs["vector"], name),
-                getattr(drill_runs["vector-legacy"], name),
+                getattr(drill_runs["sharded"], name),
                 err_msg=f"fleet trace {name!r} diverged under the drill",
             )
 
@@ -217,13 +226,27 @@ class TestEngineFaultSemantics:
         np.testing.assert_allclose(
             vec.max_junction_c, ref.max_junction_c, rtol=0, atol=1e-7
         )
+        np.testing.assert_allclose(
+            vec.total_power_w, ref.total_power_w, rtol=0, atol=1e-6
+        )
         np.testing.assert_allclose(vec.inlet_c, ref.inlet_c, rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(vec.utilization_pct, ref.utilization_pct)
-        np.testing.assert_array_equal(vec.fault_active, ref.fault_active)
+        for name in (
+            "utilization_pct",
+            "mean_rpm",
+            "pstate_index",
+            "work_deficit_pct",
+            "unserved_pct",
+            "fault_active",
+            "respilled_pct",
+            "fault_unserved_pct",
+        ):
+            np.testing.assert_array_equal(
+                getattr(vec, name), getattr(ref, name), err_msg=name
+            )
 
     def test_empty_schedule_is_bit_identical_to_no_faults(self, small_fleet):
         profile = StaircaseProfile([30.0, 85.0, 50.0], 120.0)
-        for backend in ("vector", "vector-legacy"):
+        for backend in ("vector", "reference"):
             plain = run_fleet(small_fleet, profile, backend, None)
             empty = run_fleet(small_fleet, profile, backend, FaultSchedule())
             for name in FLEET_TRACES:
@@ -457,11 +480,11 @@ class TestRoundRobinStateUnderFaults:
         vec = run_fleet(
             fleet, profile, "vector", schedule, policy=RoundRobinPolicy()
         )
-        leg = run_fleet(
-            fleet, profile, "vector-legacy", schedule, policy=RoundRobinPolicy()
-        )
-        np.testing.assert_array_equal(vec.utilization_pct, leg.utilization_pct)
-        # rotation still alternates across the two surviving servers
-        busy = vec.utilization_pct[:, 1:] > 0.0
-        assert busy[:, 0].any() and busy[:, 1].any()
+        # one rotation step per tick: tick t ranks from server t % 3, so
+        # with server 0 down the first live server is 1, 1, 2, 1, 1, 2...
+        # (a second ranking per tick would rotate by two instead)
+        ticks = np.arange(vec.utilization_pct.shape[0])
+        busy = np.nonzero(vec.utilization_pct > 0.0)
+        np.testing.assert_array_equal(busy[0], ticks)
+        np.testing.assert_array_equal(busy[1], np.array([1, 1, 2])[ticks % 3])
         assert np.all(vec.utilization_pct[:, 0] == 0.0)

@@ -30,7 +30,7 @@ RESULT_FIELDS = (
 )
 
 
-def make_engine(backend="vector", capture=None):
+def make_engine(backend="vector", capture=None, **kwargs):
     fleet = build_uniform_fleet(rack_count=2, servers_per_rack=2)
     profile = StaircaseProfile([30.0, 85.0, 55.0, 10.0], 150.0)
     return FleetEngine(
@@ -39,6 +39,7 @@ def make_engine(backend="vector", capture=None):
         controller_factory=lambda i: PIController(),
         backend=backend,
         capture=capture,
+        **kwargs,
     )
 
 
@@ -97,18 +98,26 @@ class TestBitIdentity:
             np.testing.assert_array_equal(to, tb, err_msg=name)
             np.testing.assert_array_equal(vo, vb, err_msg=name)
 
-    def test_legacy_backend_capture_matches_vector(self):
+    def test_sharded_backend_capture_matches_vector(self):
+        """The sharded coordinator flushes from its spilled segments;
+        the captured channels still equal the in-process loop's."""
         stores = {}
-        for backend in ("vector", "vector-legacy"):
+        for backend, kwargs in (
+            ("vector", {}),
+            ("sharded", {"shards": 2, "shard_mode": "inline"}),
+        ):
             store = TimeseriesStore()
             make_engine(
-                backend=backend, capture=FleetCapture(store=store)
+                backend=backend, capture=FleetCapture(store=store), **kwargs
             ).run(dt_s=DT)
             stores[backend] = store
-        for name in stores["vector"].channel_names():
-            _, vv = stores["vector"].channel(name).series()
-            _, vl = stores["vector-legacy"].channel(name).series()
-            np.testing.assert_array_equal(vv, vl, err_msg=name)
+        names = stores["vector"].channel_names()
+        assert sorted(names) == sorted(stores["sharded"].channel_names())
+        for name in names:
+            tv, vv = stores["vector"].channel(name).series()
+            ts, vs = stores["sharded"].channel(name).series()
+            np.testing.assert_array_equal(tv, ts, err_msg=name)
+            np.testing.assert_array_equal(vv, vs, err_msg=name)
 
 
 class TestRunStream:
@@ -138,10 +147,21 @@ class TestRunStream:
             v, engine.last_result.max_junction_c[:, 0]
         )
 
-    def test_stream_requires_vector_backend(self):
-        engine = make_engine(backend="vector-legacy")
-        with pytest.raises(ValueError, match="vector"):
+    def test_stream_rejects_sharded_backend(self):
+        engine = make_engine(backend="sharded", shards=2)
+        with pytest.raises(ValueError, match="sharded"):
             next(engine.run_stream(dt_s=DT))
+
+    def test_reference_stream_matches_run(self):
+        baseline = make_engine(backend="reference").run(dt_s=DT)
+        engine = make_engine(backend="reference")
+        views = list(engine.run_stream(dt_s=DT))
+        assert len(views) == baseline.times_s.shape[0]
+        np.testing.assert_array_equal(
+            [v.time_s for v in views], baseline.times_s
+        )
+        assert engine.last_result.backend == "reference"
+        assert_results_identical(engine.last_result, baseline)
 
 
 class TestCaptureValidation:

@@ -185,7 +185,7 @@ class TestLifecycle:
     def test_requires_vector_backend(self):
         fleet = build_uniform_fleet(rack_count=1, servers_per_rack=2)
         engine = FleetEngine(
-            fleet, StaircaseProfile([50.0], 600.0), backend="vector-legacy"
+            fleet, StaircaseProfile([50.0], 600.0), backend="reference"
         )
         with pytest.raises(ValueError, match="vector"):
             LiveTelemetryService(engine)

@@ -8,8 +8,8 @@ schedule:
 * every physical trace stays finite (dropouts corrupt *observations*,
   never power or temperature),
 * outage servers execute exactly zero utilization while down,
-* the kernelized ``vector`` loop stays bit-identical to the
-  ``vector-legacy`` oracle,
+* the ``vector`` backend stays bit-identical to the sharded backend
+  (two inline shards: the same control plane over split kernels),
 * an empty schedule is bit-identical to a run without one.
 """
 
@@ -105,7 +105,7 @@ schedules = st.lists(
 ).map(lambda events: FaultSchedule(events=tuple(events)))
 
 
-def run_fleet(backend, faults):
+def run_fleet(backend, faults, **kwargs):
     return FleetEngine(
         FLEET,
         StaircaseProfile([35.0, 80.0, 55.0], 100.0),
@@ -117,6 +117,7 @@ def run_fleet(backend, faults):
         # fans) may legitimately overheat; the invariants under test
         # are about trace sanity, not thermal safety
         trip_on_critical=False,
+        **kwargs,
     ).run(dt_s=DT_S)
 
 
@@ -145,9 +146,11 @@ class TestRandomSchedules:
 
     @given(schedule=schedules)
     @settings(max_examples=10, deadline=None)
-    def test_vector_bit_identical_to_legacy(self, schedule):
+    def test_vector_bit_identical_to_sharded_inline(self, schedule):
         vector = run_fleet("vector", schedule)
-        legacy = run_fleet("vector-legacy", schedule)
+        sharded = run_fleet(
+            "sharded", schedule, shards=2, shard_mode="inline"
+        )
         for name in PHYSICAL_TRACES + (
             "unserved_pct",
             "pstate_index",
@@ -157,14 +160,14 @@ class TestRandomSchedules:
         ):
             np.testing.assert_array_equal(
                 getattr(vector, name),
-                getattr(legacy, name),
+                getattr(sharded, name),
                 err_msg=f"{name!r} diverged under {schedule!r}",
             )
 
 
 class TestEmptySchedule:
     def test_empty_equals_no_schedule_on_both_backends(self):
-        for backend in ("vector", "vector-legacy"):
+        for backend in ("vector", "reference"):
             plain = run_fleet(backend, None)
             empty = run_fleet(backend, FaultSchedule())
             for name in PHYSICAL_TRACES:

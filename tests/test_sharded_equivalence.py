@@ -7,7 +7,7 @@ sharded run — 1, 2 or 4 shards, inline or forked worker processes —
 and the single-process vector kernel, across:
 
 * every builtin placement policy (array-ranked fast path),
-* a custom view-based policy (the coordinator's legacy fallback),
+* a custom view-based policy (the placement's view fallback),
 * coordinated fan+DVFS control (cross-layer p-state actuation),
 * a compound fault schedule whose outage respill crosses a shard
   boundary,
@@ -16,6 +16,7 @@ and the single-process vector kernel, across:
 """
 
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.core.controllers.coordinated import CoordinatedController
 from repro.core.controllers.default import FixedSpeedController
 from repro.core.controllers.pid import PIController
 from repro.core.lut import build_lut_from_spec
-from repro.engine.sharded import resolve_shard_mode
+from repro.engine.sharded import _ShardWorker, resolve_shard_mode
 from repro.fleet import (
     PLACEMENT_POLICIES,
     CracExcursionEvent,
@@ -395,6 +396,30 @@ class TestValidation:
             FleetEngine(
                 fleet, workload, backend="sharded", shard_mode="threads"
             )
+
+    def test_snapshot_annotations_resolve(self):
+        assert get_type_hints(_ShardWorker._snapshot_slice)["root"] is str
+
+    def test_bad_command_names_the_fleet_server(self):
+        """A shard worker rejects an out-of-range fan command with the
+        server's fleet index, in the in-process loop's own words."""
+
+        class Runaway(FixedSpeedController):
+            def decide(self, observation):
+                return 9000.0 if observation.time_s >= 20.0 else None
+
+        def factory(i):
+            return Runaway() if i == 4 else FixedSpeedController()
+
+        messages = []
+        for backend, kw in (
+            ("vector", {}),
+            ("sharded", {"shards": 2, "shard_mode": "inline"}),
+        ):
+            with pytest.raises(ValueError, match="server 4: rpm 9000") as exc:
+                run_fleet(backend, controller_factory=factory, **kw)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     def test_run_stats_surface(self):
         _, engine = run_fleet("sharded", shards=2, shard_mode="inline")
