@@ -104,15 +104,11 @@ HOT_FUNCTIONS: Mapping[str, FrozenSet[str]] = {
     "repro/telemetry/recorder.py": frozenset(
         {"TraceRecorder.record_chunk"}
     ),
-    "repro/engine/sharded.py": frozenset(
-        {
-            "_ShardWorker.step",
-            "_ShardWorker.maybe_checkpoint",
-            "_Coordinator.begin_tick",
-            "_Coordinator.maybe_request_checkpoint",
-            "_Coordinator.maybe_commit_checkpoint",
-        }
+    "repro/fleet/engine.py": frozenset({"_TickLoop.tick"}),
+    "repro/engine/control.py": frozenset(
+        {"FleetSlice.step", "InProcessSlices.step"}
     ),
+    "repro/engine/sharded.py": frozenset({"_ProcessSlices.step"}),
     "repro/telemetry/segments.py": frozenset(
         {"ShardTraceWriter.record_chunk"}
     ),

@@ -11,19 +11,19 @@ therefore never observes a partially written checkpoint: either the
 ``ckpt-<tick>`` directory exists with a verifiable manifest, or it
 does not exist at all.
 
-The deterministic staging name is part of the sharded consistent-cut
-protocol: the coordinator creates ``tmp-<tick>`` and announces the
-cut tick through shared memory *before* releasing the tick barrier,
-every shard worker then writes its own slice snapshot into the same
-staging directory, and the coordinator seals the manifest only after
-the post-tick barrier — so a committed checkpoint always contains
-every shard's state for the same tick.
+The deterministic staging name is part of the fleet cut protocol: the
+tick loop creates ``tmp-<tick>`` before stepping the server slices,
+every slice then writes its own snapshot into the same staging
+directory (a forked worker finds it from the cut tick announced
+through shared memory), and the loop seals the manifest only after
+every slice has stepped — so a committed checkpoint always contains
+every slice's state for the same tick.
 
 The *fingerprint* embedded in the manifest pins the run topology
 (backend, server count, step grid, seed, scheduler/controller names,
-shard layout).  Resuming validates the fingerprint before restoring
-any state, so a checkpoint can never be silently applied to a
-different run than the one that wrote it.
+shard layout, spill grid).  Resuming validates the fingerprint before
+restoring any state, so a checkpoint can never be silently applied to
+a different run than the one that wrote it.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _tick_of(path: Path) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# payload helpers (used directly by shard workers)
+# payload helpers (used directly by fleet slices)
 # ----------------------------------------------------------------------
 def save_arrays(
     directory: Union[str, Path],

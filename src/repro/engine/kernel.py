@@ -1123,22 +1123,6 @@ class FleetVectorKernel:
             self._metric_steps.inc()
         return capacity, leakage_w
 
-    # ------------------------------------------------------------------
-    # shared surface
-    # ------------------------------------------------------------------
-    def check_critical(self, trip: bool) -> None:
-        """Raise if any junction exceeds its critical threshold."""
-        if not trip:
-            return
-        hottest = self.t_j.max(axis=1)
-        over = np.nonzero(hottest > self.critical_c)[0]
-        if over.size:
-            i = int(over[0])
-            raise CriticalTemperatureError(
-                f"server {i} junction reached {hottest[i]:.1f} degC "
-                f"(critical threshold {self.critical_c[i]:.1f} degC)"
-            )
-
     def initial_views_data(self):
         """``(max_junction_c, leakage_w)`` before the first tick."""
         return self.t_j.max(axis=1), self._leakage(self.t_j).sum(axis=1)

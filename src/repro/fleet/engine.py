@@ -1,32 +1,39 @@
 """Lock-step multi-server simulation engine.
 
 Steps every server in the fleet through the same tick sequence the
-single-server :class:`~repro.server.server.ServerSimulator` uses.  One
-tick loop drives the in-process backends; per tick it evaluates the
-prologue (demand, CRAC supply, recirculated inlet) and the controller
-polls through the shared control plane of :mod:`repro.engine.control`,
-places demand with :meth:`FleetScheduler.place`, and advances a
-physics object through ``step_into``.
+single-server :class:`~repro.server.server.ServerSimulator` uses.
+There is one tick loop for every backend (:meth:`FleetEngine._tick_stream`,
+run by :class:`_TickLoop`); the loop is the coordinator.  Per tick it
+
+1. evaluates the prologue (demand, CRAC supply, recirculated inlet)
+   with :class:`~repro.engine.control.TickInputs` and places demand
+   with :meth:`FleetScheduler.place`;
+2. steps the server slices (:class:`~repro.engine.control.FleetSlice`:
+   the controller polls, fan caps, physics ``step_into``, trace rows,
+   summary publish and trip flag of servers ``[lo, hi)``);
+3. raises a critical trip, records the loop-owned columns (inlet,
+   unserved, respilled, fault-unserved) and feeds executed work back
+   to a dynamic workload;
+4. flushes the capture tap, seals a due checkpoint cut and yields.
 
 Three backends are available:
 
-* ``vector`` (default) — the physics is the
+* ``vector`` (default) — one slice over ``[0, N)`` whose physics is the
   :class:`~repro.engine.kernel.FleetVectorKernel`: persistent
   ``(N, ·)`` state arrays feed the placement policy directly
   (:meth:`~repro.fleet.scheduler.PlacementPolicy.order_indices`),
-  per-tick inputs (aggregate demand, CRAC supplies) are precomputed
-  for the whole horizon, and the batched physics writes straight into
-  the preallocated trace block.  Custom view-based policies
-  transparently fall back to per-tick :class:`ServerLoadView`
-  construction.
-* ``reference`` — one real :class:`ServerSimulator` per server behind
-  the kernel's physics interface, driven by the same loop: the physics
-  oracle the batched math is tested against, and the naive baseline of
-  ``benchmarks/bench_kernel.py``.  It also runs fleets whose servers
-  differ in socket count.
-* ``sharded`` — the ``vector`` physics partitioned across per-shard
-  kernels (worker processes over shared memory, or in-process with
-  ``shard_mode="inline"``) with trace columns streamed to
+  per-tick inputs are precomputed for the whole horizon, and the
+  batched physics writes straight into the preallocated in-RAM trace
+  block.  Custom view-based policies transparently fall back to
+  per-tick :class:`ServerLoadView` construction.
+* ``reference`` — the same loop and slice with one real
+  :class:`ServerSimulator` per server behind the kernel's physics
+  interface: the physics oracle the batched math is tested against,
+  and the naive baseline of ``benchmarks/bench_kernel.py``.  It also
+  runs fleets whose servers differ in socket count.
+* ``sharded`` — the same loop over contiguous kernel slices, stepped
+  in forked worker processes over shared memory (or in-process with
+  ``shard_mode="inline"``), with trace columns streamed to
   memory-mapped ``.npy`` segments instead of held in RAM; traces are
   bit-identical to ``vector``.  See :mod:`repro.engine.sharded` and
   ``docs/scaling.md``.
@@ -48,15 +55,19 @@ noisy-sensor / ``sar``-window emulation for scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -80,7 +91,7 @@ from repro.engine.checkpoint import (
     require_fingerprint,
     resolve_checkpoint,
 )
-from repro.engine.control import ControlSlice, TickInputs
+from repro.engine.control import FleetSlice, InProcessSlices, TickInputs
 from repro.engine.kernel import COLD_START_SETTLE_S, FleetVectorKernel
 from repro.fleet.faults import FaultSchedule, FleetFaultPlan
 from repro.fleet.metrics import FleetMetrics, compute_fleet_metrics
@@ -90,16 +101,28 @@ from repro.fleet.scheduler import (
     FleetWorkload,
     RoundRobinPolicy,
 )
-from repro.fleet.topology import Fleet
+from repro.fleet.topology import Fleet, Rack
 from repro.server.ambient import AmbientModel
 from repro.server.power import leakage_slope_w_per_c
 from repro.server.server import ServerSimulator
-from repro.server.thermal import substep_schedule
+from repro.telemetry.segments import (
+    FLEET_SCALAR_TRACE_COLUMNS,
+    FLEET_TRACE_COLUMNS,
+    TraceRows,
+)
 from repro.units import airflow_heat_capacity_w_per_k
 from repro.workloads.profile import UtilizationProfile
 
-#: Checkpoint kind of the in-process loop (both in-process backends).
-_CHECKPOINT_KIND = "fleet-vector"
+#: Manifest kind of every fleet checkpoint; the run fingerprint tells
+#: backends and shard layouts apart.
+_CHECKPOINT_KIND = "fleet"
+
+#: Per-server columns a slice writes (the loop writes ``inlet``, an
+#: input to the step rather than an output of it).
+_SLICE_COLUMNS = tuple(c for c in FLEET_TRACE_COLUMNS if c != "inlet")
+
+#: Per-server columns the capture tap ingests.
+_CAPTURE_COLUMNS = ("power", "fan", "junction", "util", "inlet", "rpm")
 
 
 class _InletAmbient(AmbientModel):
@@ -116,22 +139,28 @@ class _InletAmbient(AmbientModel):
 class _ReferenceBackend:
     """One real :class:`ServerSimulator` per server (the naive loop).
 
-    Offers the tick loop the physics surface of
+    Offers the slice the physics surface of
     :class:`~repro.engine.kernel.FleetVectorKernel`; every per-server
-    quantity comes from the wrapped simulator's own scalar code.
+    quantity comes from the wrapped simulator's own scalar code.  The
+    simulators never trip themselves: the loop's one trip rule does.
     """
 
-    def __init__(self, fleet: Fleet, seed: int, trip_on_critical: bool):
+    def __init__(self, fleet: Fleet, seed: int):
+        specs = fleet.servers
         supply = fleet.supply_temperatures_c(0.0)
         self.sims: List[ServerSimulator] = [
             ServerSimulator(
                 spec=spec,
                 ambient=_InletAmbient(float(supply[i])),
                 seed=seed + i,
-                trip_on_critical=trip_on_critical,
+                trip_on_critical=False,
             )
-            for i, spec in enumerate(fleet.servers)
+            for i, spec in enumerate(specs)
         ]
+        #: Per-server critical junction threshold, °C.
+        self.critical_c = np.array(
+            [spec.critical_temperature_c for spec in specs]
+        )
 
     @property
     def rpm(self) -> np.ndarray:
@@ -206,8 +235,7 @@ class _ReferenceBackend:
         """Step every simulator one tick; same contract as the kernel's.
 
         Returns ``(air_capacity_w_per_k, leakage_w)``.  The simulators
-        integrate their own substeps (*substeps* and *h* are unused)
-        and trip on critical temperatures themselves.
+        integrate their own substeps (*substeps* and *h* are unused).
         """
         airflow = np.empty(len(self.sims))
         for i, sim in enumerate(self.sims):
@@ -228,8 +256,35 @@ class _ReferenceBackend:
             airflow[i] = sim.fans.total_airflow_cfm()
         return airflow_heat_capacity_w_per_k(airflow), self._leakage_w()
 
-    def check_critical(self, trip: bool) -> None:
-        """The wrapped simulators trip during :meth:`step_into` themselves."""
+
+def _subfleet(fleet: Fleet, lo: int, hi: int) -> Fleet:
+    """Servers ``[lo, hi)`` as a standalone :class:`Fleet`.
+
+    Rack fragments keep their name, CRAC supply setpoint and CRAC
+    model, so per-server supply temperatures are bit-identical to the
+    full fleet's slice.  Recirculation is dropped — slice kernels never
+    evaluate the coupling (the loop owns it).  The whole fleet is
+    returned as is.
+    """
+    if lo == 0 and hi == fleet.server_count:
+        return fleet
+    racks = []
+    base = 0
+    for rack in fleet.racks:
+        count = len(rack.servers)
+        a = max(lo, base)
+        b = min(hi, base + count)
+        if a < b:
+            racks.append(
+                Rack(
+                    name=rack.name,
+                    servers=list(rack.servers[a - base : b - base]),
+                    crac_supply_c=rack.crac_supply_c,
+                    crac=rack.crac,
+                )
+            )
+        base += count
+    return Fleet(racks=racks)
 
 
 @dataclass
@@ -310,6 +365,340 @@ class FleetTickView:
     replayed: bool = False
 
 
+def fleet_result(
+    fleet: Fleet,
+    dt_s: float,
+    trace: Mapping[str, np.ndarray],
+    fault_active: np.ndarray,
+    scheduler_name: str,
+    controller_name: str,
+    backend: str,
+) -> FleetResult:
+    """A run's :class:`FleetResult`, metrics included, from its columns.
+
+    *trace* maps every per-server and scalar trace column name to its
+    ``(steps, n)`` / ``(steps,)`` array — the in-RAM block or the
+    memory-mapped segments of :class:`~repro.telemetry.segments.FleetTraceReader`.
+    """
+    metrics = compute_fleet_metrics(
+        fleet,
+        dt_s,
+        trace["power"],
+        trace["fan"],
+        trace["junction"],
+        trace["util"],
+        trace["inlet"],
+        trace["unserved"],
+        work_deficit_pct=trace["deficit"],
+        fault_active=fault_active,
+        respilled_pct=trace["respilled"],
+        fault_unserved_pct=trace["fault_unserved"],
+    )
+    return FleetResult(
+        scheduler_name=scheduler_name,
+        controller_name=controller_name,
+        backend=backend,
+        dt_s=dt_s,
+        times_s=np.arange(1, len(trace["unserved"]) + 1) * dt_s,
+        total_power_w=trace["power"],
+        fan_power_w=trace["fan"],
+        max_junction_c=trace["junction"],
+        utilization_pct=trace["util"],
+        inlet_c=trace["inlet"],
+        mean_rpm=trace["rpm"],
+        unserved_pct=trace["unserved"],
+        pstate_index=trace["pstate"],
+        work_deficit_pct=trace["deficit"],
+        metrics=metrics,
+        fault_active=fault_active,
+        respilled_pct=trace["respilled"],
+        fault_unserved_pct=trace["fault_unserved"],
+    )
+
+
+class _TraceBlock:
+    """The in-RAM trace sink: every column preallocated for the horizon.
+
+    Same interface as the segment sink
+    (:class:`~repro.telemetry.segments.ShardedTraceWriter`): rows are
+    durable as soon as they are written, so its spill grid is one tick,
+    and a checkpoint cut carries the per-server trace prefix.
+    """
+
+    spill_ticks = 1
+
+    def __init__(self, steps: int, n: int) -> None:
+        self.columns = {
+            name: np.empty((steps, n), dtype=int if name == "pstate" else float)
+            for name in FLEET_TRACE_COLUMNS
+        }
+        self.scalars = {
+            name: np.zeros(steps) for name in FLEET_SCALAR_TRACE_COLUMNS
+        }
+
+    def rows(
+        self, lo: int, hi: int, columns: Sequence[str], start_tick: int
+    ) -> TraceRows:
+        """Whole-horizon views of *columns* over ``[lo, hi)``."""
+        return TraceRows({name: self.columns[name][:, lo:hi] for name in columns})
+
+    def read_view(self, name: str) -> np.ndarray:
+        """One per-server column."""
+        return self.columns[name]
+
+    def save_prefix(self, writer: CheckpointWriter, tick: int) -> None:
+        """Add the per-server rows below the cut to a checkpoint."""
+        writer.arrays(
+            "trace", {name: col[:tick] for name, col in self.columns.items()}
+        )
+
+    def load_prefix(self, directory: str, tick: int) -> None:
+        """Refill the per-server rows below a restored cut."""
+        saved = load_arrays(directory, "trace")
+        for name, col in self.columns.items():
+            col[:tick] = saved[name]
+
+
+class _TickLoop:
+    """The state of one run of the fleet tick loop.
+
+    Set up (fresh or from a verified checkpoint) here, stepped tick by
+    tick by :meth:`tick` (the loop's per-tick body), closed by
+    :meth:`close`.  *open_slices* is one of the two ways to step
+    slices: :class:`~repro.engine.control.InProcessSlices` or the
+    forked workers of :mod:`repro.engine.sharded`.
+    """
+
+    def __init__(
+        self,
+        engine: "FleetEngine",
+        dt_s: float,
+        steps: int,
+        plan: Optional[FleetFaultPlan],
+        sink: Any,
+        bounds: Sequence[Tuple[int, int]],
+        resume: Optional[Tuple[int, str]],
+        open_slices: Callable[..., Any],
+    ) -> None:
+        n = engine.fleet.server_count
+        self.engine = engine
+        self.dt_s = dt_s
+        self.steps = steps
+        self.plan = plan
+        self.sink = sink
+        self.start_tick, resume_dir = resume if resume is not None else (0, None)
+        self.inputs = inputs = TickInputs(
+            engine.fleet, engine.workload, plan, steps, dt_s
+        )
+        self.rack_of = np.asarray(engine.fleet.rack_index_of_server)
+        self.end_times = np.arange(1, steps + 1) * dt_s
+        self.unserved = sink.scalars["unserved"]
+        self.respilled = sink.scalars["respilled"]
+        self.fault_unserved = sink.scalars["fault_unserved"]
+        self.dynamic = engine.workload.dynamic
+
+        loop_state = None
+        if resume_dir is None:
+            engine.scheduler.reset()
+        else:
+            loop_state = load_arrays(resume_dir, "loop")
+            for name, column in sink.scalars.items():
+                column[: self.start_tick] = loop_state[name]
+            engine.scheduler = load_pickle(resume_dir, "loop")["scheduler"]
+            sink.load_prefix(resume_dir, self.start_tick)
+
+        # Observability taps — both None in plain batch runs, in which
+        # case the loop body takes the exact uninstrumented path.
+        self.capture = capture = engine.capture
+        self.flush_start = 0
+        if capture is not None:
+            capture.bind(n)
+            self.capture_columns = {
+                name: sink.read_view(name) for name in _CAPTURE_COLUMNS
+            }
+            # Replay the restored trace prefix through the capture tap
+            # in the exact chunk slices the uninterrupted run flushed:
+            # the store (lost with the interrupted process) is rebuilt
+            # bit-identically, and flush_start lands where it would be.
+            while self.flush_start + capture.chunk_ticks <= self.start_tick:
+                self._flush(self.flush_start + capture.chunk_ticks)
+        self.timers = None
+        if engine.metrics is not None:
+            self.timers = (
+                engine.metrics.timer(
+                    "repro_fleet_placement",
+                    "Placement policy + scheduler assignment",
+                ),
+                engine.metrics.timer(
+                    "repro_fleet_trace_write",
+                    "Capture flushes into the timeseries store",
+                ),
+            )
+
+        # Checkpoint cuts land on the sink's spill grid (every tick in
+        # RAM), where every trace row below the cut is durable.
+        self.grid = sink.spill_ticks
+        self.every = 0
+        if engine.checkpoint is not None:
+            every = engine.checkpoint.every_ticks(dt_s)
+            self.every = -(-every // self.grid) * self.grid
+        self.fingerprint = engine._run_fingerprint(
+            dt_s, steps, bounds, self.grid
+        )
+
+        self.inlet_rows = sink.rows(0, n, ("inlet",), self.start_tick)
+        build = partial(
+            engine._build_slice,
+            sink=sink,
+            plan=plan,
+            dt_s=dt_s,
+            steps=steps,
+            times=inputs.times_list,
+            start_tick=self.start_tick,
+            resume_dir=resume_dir,
+        )
+        self.slices = open_slices(build, bounds, self.start_tick, engine.metrics)
+        if loop_state is not None:
+            # the cut tick's summary rows (resumed slices publish none)
+            try:
+                self.slices.summary.load_state_arrays(loop_state)
+            except BaseException:
+                self.close()
+                raise
+
+    def tick(self, tick: int) -> None:
+        """One tick: place, step the slices, record, flush, seal."""
+        engine = self.engine
+        plan = self.plan
+        inputs = self.inputs
+        summary = self.slices.summary
+        timers = self.timers
+        steps = self.steps
+        t1 = tick + 1
+
+        total_demand = inputs.demand_total(tick)
+        inlet = inputs.inlet(tick, summary.exhaust_rise)
+        if timers is not None:
+            t0 = perf_counter()
+        (
+            decision,
+            self.respilled[tick],
+            self.fault_unserved[tick],
+        ) = engine.scheduler.place(
+            FleetLoadArrays(
+                utilization_pct=summary.executed,
+                max_junction_c=summary.max_junction,
+                inlet_c=inlet,
+                leakage_w=summary.leakage,
+                pstate_index=summary.pstate,
+                rack_index=self.rack_of,
+                leakage_slope_w_per_c=summary.slope,
+            ),
+            total_demand,
+            plan.outage[tick]
+            if plan is not None and plan.outage_any[tick]
+            else None,
+        )
+        if timers is not None:
+            timers[0].add(perf_counter() - t0)
+
+        cut = self._due_cut(t1)
+        self.slices.step(
+            tick,
+            inlet,
+            decision.allocations_pct,
+            None if cut is None else str(cut.staging),
+        )
+        summary.raise_if_tripped()
+
+        rows = self.inlet_rows
+        rows.buffers["inlet"][tick - rows.start] = inlet
+        rows.end_tick(tick, steps)
+        self.unserved[tick] = decision.unserved_pct
+        if self.dynamic:
+            engine.workload.record_executed(
+                inputs.times_list[tick], float(summary.executed.sum()), self.dt_s
+            )
+
+        capture = self.capture
+        if capture is not None and (
+            t1 - self.flush_start >= capture.chunk_ticks or t1 == steps
+        ):
+            if timers is not None:
+                t0 = perf_counter()
+            self._flush(t1)
+            if timers is not None:
+                timers[1].add(perf_counter() - t0)
+        if cut is not None:
+            self._seal(cut)
+        if (
+            engine._stop_requested
+            and t1 < steps
+            and (engine.checkpoint is None or cut is not None)
+        ):
+            raise RunInterrupted(
+                f"fleet run stopped at tick {t1}/{steps}",
+                engine.last_checkpoint_path,
+            )
+
+    def _flush(self, stop: int) -> None:
+        """Hand trace rows ``[flush_start, stop)`` to the capture tap."""
+        start = self.flush_start
+        self.capture.flush(
+            self.end_times[start:stop],
+            {
+                name: np.asarray(column[start:stop])
+                for name, column in self.capture_columns.items()
+            },
+            unserved_pct=self.unserved[start:stop],
+        )
+        self.flush_start = stop
+
+    def _due_cut(self, t1: int) -> Optional[CheckpointWriter]:
+        """The staged cut after tick ``t1 - 1``, if one is due.
+
+        Due on the cadence, or at the next spill boundary once a stop
+        or an off-cadence checkpoint was requested.
+        """
+        engine = self.engine
+        if not self.every or t1 >= self.steps:
+            return None
+        if t1 % self.every and not (
+            (engine._stop_requested or engine._checkpoint_requested)
+            and t1 % self.grid == 0
+        ):
+            return None
+        return CheckpointWriter(engine.checkpoint.root, t1)
+
+    def _seal(self, writer: CheckpointWriter) -> None:
+        """Add the loop's payload to a staged cut and commit it.
+
+        Every slice has already written its own state into the staging
+        directory; the loop adds the summary rows, the scalar trace
+        prefix, the scheduler and (in RAM) the per-server trace prefix.
+        """
+        engine = self.engine
+        t1 = writer.tick
+        state = self.slices.summary.state_arrays()
+        for name, column in self.sink.scalars.items():
+            state[name] = column[:t1]
+        writer.arrays("loop", state)
+        writer.pickle("loop", {"scheduler": engine.scheduler})
+        self.sink.save_prefix(writer, t1)
+        engine.last_checkpoint_path = writer.commit(
+            _CHECKPOINT_KIND, self.fingerprint
+        )
+        prune_checkpoints(engine.checkpoint.root, engine.checkpoint.keep)
+        engine._checkpoint_requested = False
+
+    def close(self) -> None:
+        """Stop the slices and close the loop's trace rows."""
+        try:
+            self.slices.close()
+        finally:
+            self.inlet_rows.close()
+
+
 class FleetEngine:
     """Schedules, controls and steps N servers in lock-step."""
 
@@ -346,8 +735,8 @@ class FleetEngine:
             )
         # Dynamic workloads (e.g. the facility WorkloadQueue) evaluate
         # demand tick by tick against mutable queue state, which the
-        # sharded coordinator does not replicate and the checkpoint
-        # writer does not persist — reject both up front.
+        # sharded backend does not replicate and the checkpoint writer
+        # does not persist — reject both up front.
         if workload.dynamic and backend == "sharded":
             raise ValueError(
                 "dynamic workloads are not supported on the sharded "
@@ -397,8 +786,11 @@ class FleetEngine:
                     "barrier_timeout_s requires backend='sharded', "
                     f"engine uses {backend!r}"
                 )
-            if not float(barrier_timeout_s) > 0.0:
-                raise ValueError("barrier_timeout_s must be positive")
+            from repro.engine.sharded import checked_barrier_timeout_s
+
+            barrier_timeout_s = checked_barrier_timeout_s(
+                barrier_timeout_s, "barrier_timeout_s"
+            )
         if checkpoint is not None and not isinstance(
             checkpoint, CheckpointConfig
         ):
@@ -410,9 +802,7 @@ class FleetEngine:
         self.trace_dir = trace_dir
         self.shard_mode = shard_mode
         self.stream_chunk_ticks = stream_chunk_ticks
-        self.barrier_timeout_s = (
-            float(barrier_timeout_s) if barrier_timeout_s is not None else None
-        )
+        self.barrier_timeout_s = barrier_timeout_s
         #: Periodic run-state checkpointing (None = disabled); see
         #: :mod:`repro.engine.checkpoint` and ``docs/resilience.md``.
         self.checkpoint = checkpoint
@@ -447,7 +837,7 @@ class FleetEngine:
         # Observability taps (see repro.obs): both default to None and
         # cost nothing when absent.  ``capture`` streams trace rows
         # into a timeseries store at chunk granularity; ``metrics``
-        # receives per-phase timers from the kernel loop.
+        # receives per-phase timers from the tick loop.
         self.capture = capture
         self.metrics = metrics
         #: Result of the most recent completed run (set by ``run`` and
@@ -461,7 +851,7 @@ class FleetEngine:
         """Ask the running loop to stop at the next tick boundary.
 
         With checkpointing configured the loop writes a final
-        checkpoint first, then raises
+        checkpoint first (at the next spill boundary), then raises
         :class:`~repro.engine.checkpoint.RunInterrupted` carrying its
         path; without, it raises immediately.  Safe to call from a
         signal handler.
@@ -472,12 +862,26 @@ class FleetEngine:
         """Ask the running loop for an off-cadence checkpoint."""
         self._checkpoint_requested = True
 
+    @property
+    def controller_name(self) -> str:
+        """The controllers' shared name, or ``"mixed"``."""
+        names = {controller.name for controller in self.controllers}
+        return names.pop() if len(names) == 1 else "mixed"
+
     def _run_fingerprint(
-        self, dt_s: float, steps: int, kind: str
+        self,
+        dt_s: float,
+        steps: int,
+        bounds: Sequence[Tuple[int, int]],
+        spill_ticks: int,
     ) -> Dict[str, object]:
-        """JSON-able run identity pinned into checkpoint manifests."""
+        """JSON-able run identity pinned into checkpoint manifests.
+
+        Backend, shard bounds and spill grid refuse a checkpoint from
+        another backend or layout.
+        """
         return {
-            "kind": kind,
+            "kind": _CHECKPOINT_KIND,
             "backend": self.backend,
             "server_count": self.fleet.server_count,
             "steps": int(steps),
@@ -489,102 +893,47 @@ class FleetEngine:
             "fault_events": len(self.faults.events)
             if self.faults is not None
             else 0,
+            "shard_bounds": [list(b) for b in bounds],
+            "spill_ticks": int(spill_ticks),
         }
 
-    def _write_run_checkpoint(
-        self,
-        tick: int,
-        dt_s: float,
-        steps: int,
-        plan: Optional[FleetFaultPlan],
-        trace: Dict[str, np.ndarray],
-        state: Dict[str, np.ndarray],
-        physics,
-    ):
-        """Commit one atomic checkpoint after ``tick`` completed ticks.
-
-        The kernel's state goes in as arrays; the ``reference``
-        simulators, whose state is a tree of objects, are pickled.
-        """
-        cfg = self.checkpoint
-        writer = CheckpointWriter(cfg.root, tick)
-        if self.backend == "reference":
-            writer.pickle("backend", physics)
-        else:
-            state.update(
-                {
-                    f"kernel_{key}": value
-                    for key, value in physics.state_arrays().items()
-                }
-            )
-        writer.arrays("state", state)
-        writer.arrays("trace", {name: trace[name][:tick] for name in trace})
-        writer.pickle(
-            "control",
-            {
-                "controllers": self.controllers,
-                "scheduler": self.scheduler,
-                "sensor_channels": plan.sensor_channels
-                if plan is not None
-                else None,
-            },
-        )
-        kind = _CHECKPOINT_KIND
-        path = writer.commit(kind, self._run_fingerprint(dt_s, steps, kind))
-        prune_checkpoints(cfg.root, cfg.keep)
-        self.last_checkpoint_path = path
-        self._checkpoint_requested = False
-        return path
-
-    def _load_run_checkpoint(
+    def _open_checkpoint(
         self,
         resume_from,
         dt_s: float,
         steps: int,
-        plan: Optional[FleetFaultPlan],
-        trace: Dict[str, np.ndarray],
-    ):
-        """Restore an in-process-loop checkpoint; returns (tick, state, dir).
+        bounds: Sequence[Tuple[int, int]],
+        spill_ticks: Optional[int] = None,
+    ) -> Tuple[int, str, int]:
+        """Verify a checkpoint for this run; ``(tick, directory, grid)``.
 
-        Verifies payload checksums and the run fingerprint, refills the
-        trace prefix, and swaps in the pickled controllers, scheduler
-        and stateful fault-sensor channels.
+        Checks the payload checksums, the manifest kind and the run
+        fingerprint.  A run that passes no *spill_ticks* (the segment
+        sink) adopts the checkpointed spill grid: its trace rows on disk
+        were written on it, and the cut tick is one of its boundaries.
         """
         directory = resolve_checkpoint(resume_from)
         manifest = read_manifest(directory)
-        kind = _CHECKPOINT_KIND
-        if manifest.get("kind") != kind:
+        if manifest.get("kind") != _CHECKPOINT_KIND:
             raise CheckpointError(
                 f"checkpoint at {directory} is a {manifest.get('kind')!r} "
-                f"checkpoint, this run needs {kind!r}"
+                f"checkpoint, this run needs {_CHECKPOINT_KIND!r}"
             )
+        if spill_ticks is None:
+            spill_ticks = int(manifest["fingerprint"].get("spill_ticks", 1))
         require_fingerprint(
-            manifest, self._run_fingerprint(dt_s, steps, kind)
+            manifest, self._run_fingerprint(dt_s, steps, bounds, spill_ticks)
         )
         tick = int(manifest["tick"])
         if not 0 < tick < steps:
             raise CheckpointError(
                 f"checkpoint tick {tick} outside the run's 1..{steps - 1}"
             )
-        state = load_arrays(directory, "state")
-        saved_trace = load_arrays(directory, "trace")
-        for name in trace:
-            trace[name][:tick] = saved_trace[name]
-        control = load_pickle(directory, "control")
-        self.controllers = list(control["controllers"])
-        if len(self.controllers) != self.fleet.server_count:
-            raise CheckpointError(
-                "checkpointed controller count does not match the fleet"
-            )
-        self.scheduler = control["scheduler"]
-        channels = control["sensor_channels"]
-        if plan is not None and channels is not None:
-            plan.sensor_channels[:] = channels
         self.last_resume_tick = tick
         # until a newer checkpoint commits, the resumed-from one is
         # still the right restart point after another interruption
         self.last_checkpoint_path = directory
-        return tick, state, directory
+        return tick, str(directory), spill_ticks
 
     def _prepare_run(
         self, dt_s: float, duration_s: Optional[float], resume_from
@@ -603,10 +952,10 @@ class FleetEngine:
             )
         self.workload.reset()
         # Compile the fault schedule once, on the engine's exact tick
-        # grid, and hand the same mask arrays to whichever loop runs —
-        # the backends cannot disagree about event timing.  An empty
-        # schedule compiles to None: the loops take the identical
-        # fault-free path a run without a schedule takes.
+        # grid, and hand the same mask arrays to every slice — they
+        # cannot disagree about event timing.  An empty schedule
+        # compiles to None: the loop takes the identical fault-free
+        # path a run without a schedule takes.
         plan = (
             self.faults.compile(self.fleet, steps, dt_s)
             if self.faults is not None
@@ -627,124 +976,23 @@ class FleetEngine:
     ) -> FleetResult:
         """Run the whole scenario and return traces plus metrics.
 
-        The ``vector`` and ``reference`` backends drain the in-process
-        tick loop (:meth:`run_stream` yields from the same loop); the
-        ``sharded`` backend partitions it across shard workers with
-        streamed traces (bit-identical to ``vector``, see
-        :mod:`repro.engine.sharded`).
+        The ``vector`` and ``reference`` backends drain
+        :meth:`run_stream`; the ``sharded`` backend runs the same loop
+        over shard slices with streamed traces (bit-identical to
+        ``vector``, see :mod:`repro.engine.sharded`).
         """
-        steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
         if self.backend == "sharded":
             from repro.engine.sharded import run_sharded
 
-            result = run_sharded(self, dt_s, steps, plan, resume_from)
+            steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
+            self.last_result = run_sharded(
+                self, dt_s, steps, plan, resume_from
+            )
         else:
-            trace = self._alloc_traces(steps)
-            for _ in self._kernel_tick_stream(
-                dt_s, steps, plan, trace, resume_from
-            ):
+            for _ in self.run_stream(dt_s, duration_s, resume_from):
                 pass
-            result = self._result_from_traces(dt_s, steps, trace, plan)
-        self.last_result = result
-        return result
+        return self.last_result
 
-    # ------------------------------------------------------------------
-    # shared setup / teardown
-    # ------------------------------------------------------------------
-    def _result_from_traces(
-        self,
-        dt_s: float,
-        steps: int,
-        trace: Dict[str, np.ndarray],
-        plan: Optional[FleetFaultPlan],
-    ) -> FleetResult:
-        n = self.fleet.server_count
-        fault_active = (
-            plan.fault_active
-            if plan is not None
-            else np.zeros((steps, n), dtype=bool)
-        )
-        metrics = compute_fleet_metrics(
-            self.fleet,
-            dt_s,
-            trace["power"],
-            trace["fan"],
-            trace["junction"],
-            trace["util"],
-            trace["inlet"],
-            trace["unserved"],
-            work_deficit_pct=trace["deficit"],
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
-        )
-        controller_names = {c.name for c in self.controllers}
-        return FleetResult(
-            scheduler_name=self.scheduler.name,
-            controller_name=(
-                controller_names.pop()
-                if len(controller_names) == 1
-                else "mixed"
-            ),
-            backend=self.backend,
-            dt_s=dt_s,
-            times_s=np.arange(1, steps + 1) * dt_s,
-            total_power_w=trace["power"],
-            fan_power_w=trace["fan"],
-            max_junction_c=trace["junction"],
-            utilization_pct=trace["util"],
-            inlet_c=trace["inlet"],
-            mean_rpm=trace["rpm"],
-            unserved_pct=trace["unserved"],
-            pstate_index=trace["pstate"],
-            work_deficit_pct=trace["deficit"],
-            metrics=metrics,
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
-        )
-
-    def _alloc_traces(self, steps: int) -> Dict[str, np.ndarray]:
-        """Preallocate the whole-horizon trace block for one run."""
-        n = self.fleet.server_count
-        return {
-            "power": np.empty((steps, n)),
-            "fan": np.empty((steps, n)),
-            "junction": np.empty((steps, n)),
-            "util": np.empty((steps, n)),
-            "inlet": np.empty((steps, n)),
-            "rpm": np.empty((steps, n)),
-            "unserved": np.empty(steps),
-            "pstate": np.empty((steps, n), dtype=int),
-            "deficit": np.empty((steps, n)),
-            "respilled": np.zeros(steps),
-            "fault_unserved": np.zeros(steps),
-        }
-
-    def _capture_flush(
-        self,
-        times_rec: np.ndarray,
-        trace: Dict[str, np.ndarray],
-        start: int,
-        stop: int,
-    ) -> None:
-        """Hand trace rows ``[start, stop)`` to the capture tap."""
-        self.capture.flush(
-            times_rec[start:stop],
-            {
-                "power": trace["power"][start:stop],
-                "fan": trace["fan"][start:stop],
-                "junction": trace["junction"][start:stop],
-                "util": trace["util"][start:stop],
-                "inlet": trace["inlet"][start:stop],
-                "rpm": trace["rpm"][start:stop],
-            },
-            unserved_pct=trace["unserved"][start:stop],
-        )
-
-    # ------------------------------------------------------------------
-    # the in-process tick loop (backends "vector" and "reference")
-    # ------------------------------------------------------------------
     def run_stream(
         self,
         dt_s: float = 1.0,
@@ -753,296 +1001,148 @@ class FleetEngine:
     ) -> Iterator["FleetTickView"]:
         """Incrementally run the scenario, yielding one view per tick.
 
-        The streaming twin of :meth:`run` for the in-process backends:
-        the identical tick loop executes underneath (bit-identical
-        traces), but control returns to the caller after every tick —
-        the live telemetry service paces this generator against wall
-        clock.  After exhaustion the full :class:`FleetResult` is
-        available as :attr:`last_result`.
+        The streaming form of :meth:`run` for the in-process backends:
+        the tick loop executes underneath, but control returns to the
+        caller after every tick — the live telemetry service paces this
+        generator against wall clock.  After exhaustion the full
+        :class:`FleetResult` is available as :attr:`last_result`.
 
         The yielded arrays are views into the engine's trace block:
         read them, never write them.
         """
         if self.backend == "sharded":
             raise ValueError(
-                "run_stream drives the in-process tick loop; the "
+                "run_stream yields from the in-RAM trace block; the "
                 "'sharded' backend cannot stream"
             )
         steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
-        trace = self._alloc_traces(steps)
+        n = self.fleet.server_count
+        bounds = ((0, n),)
+        resume = None
+        if resume_from is not None:
+            resume = self._open_checkpoint(resume_from, dt_s, steps, bounds, 1)[:2]
+        block = _TraceBlock(steps, n)
 
         def stream() -> Iterator[FleetTickView]:
-            for tick, time_s in self._kernel_tick_stream(
-                dt_s, steps, plan, trace, resume_from
+            columns = block.columns
+            unserved = block.scalars["unserved"]
+            for tick, time_s in self._tick_stream(
+                dt_s, steps, plan, block, bounds, resume
             ):
                 yield FleetTickView(
                     tick=tick,
                     time_s=time_s,
-                    total_power_w=trace["power"][tick],
-                    fan_power_w=trace["fan"][tick],
-                    max_junction_c=trace["junction"][tick],
-                    utilization_pct=trace["util"][tick],
-                    inlet_c=trace["inlet"][tick],
-                    mean_rpm=trace["rpm"][tick],
-                    unserved_pct=float(trace["unserved"][tick]),
+                    total_power_w=columns["power"][tick],
+                    fan_power_w=columns["fan"][tick],
+                    max_junction_c=columns["junction"][tick],
+                    utilization_pct=columns["util"][tick],
+                    inlet_c=columns["inlet"][tick],
+                    mean_rpm=columns["rpm"][tick],
+                    unserved_pct=float(unserved[tick]),
                     replayed=tick < self.last_resume_tick,
                 )
-            self.last_result = self._result_from_traces(
-                dt_s, steps, trace, plan
+            self.last_result = fleet_result(
+                self.fleet,
+                dt_s,
+                {**columns, **block.scalars},
+                plan.fault_active
+                if plan is not None
+                else np.zeros((steps, n), dtype=bool),
+                self.scheduler.name,
+                self.controller_name,
+                self.backend,
             )
 
         return stream()
 
-    def _build_physics(self, restored, directory):
-        """The backend's physics object: fresh, cold-started or restored."""
-        if self.backend == "reference":
-            if restored is not None:
-                return load_pickle(directory, "backend")
-            physics = _ReferenceBackend(
-                self.fleet, self.seed, self.trip_on_critical
-            )
-        else:
-            physics = FleetVectorKernel(self.fleet, metrics=self.metrics)
-            if restored is not None:
-                physics.load_state_arrays(
-                    {
-                        key: restored[f"kernel_{key}"]
-                        for key in FleetVectorKernel.STATE_KEYS
-                    }
-                )
-                return physics
-        if self.cold_start:
-            physics.force_cold_state(self.cold_start_rpm)
-        return physics
+    # ------------------------------------------------------------------
+    # the tick loop
+    # ------------------------------------------------------------------
+    def _build_slice(
+        self,
+        index: int,
+        lo: int,
+        hi: int,
+        summary: Any,
+        metrics: Optional["MetricsRegistry"],
+        *,
+        sink: Any,
+        plan: Optional[FleetFaultPlan],
+        dt_s: float,
+        steps: int,
+        times: List[float],
+        start_tick: int,
+        resume_dir: Optional[str],
+    ) -> FleetSlice:
+        """Slice *index* over ``[lo, hi)``: fresh, cold-started or restored.
 
-    def _kernel_tick_stream(
+        Called in this process for in-process slices and in each forked
+        worker after the fork, so a worker holds only its own slice.
+        """
+        if self.backend == "reference":
+            physics: Any = _ReferenceBackend(self.fleet, self.seed)
+        else:
+            physics = FleetVectorKernel(
+                _subfleet(self.fleet, lo, hi), metrics=metrics
+            )
+        fleet_slice = FleetSlice(
+            index,
+            lo,
+            self.fleet,
+            physics,
+            self.controllers[lo:hi],
+            sink.rows(lo, hi, _SLICE_COLUMNS, start_tick),
+            summary,
+            plan,
+            dt_s,
+            steps,
+            times,
+            self.trip_on_critical,
+            metrics,
+        )
+        if resume_dir is None:
+            if self.cold_start:
+                physics.force_cold_state(self.cold_start_rpm)
+            fleet_slice.start()
+        else:
+            fleet_slice.restore(resume_dir)
+            self.controllers[lo:hi] = fleet_slice.controllers
+        return fleet_slice
+
+    def _tick_stream(
         self,
         dt_s: float,
         steps: int,
         plan: Optional[FleetFaultPlan],
-        trace: Dict[str, np.ndarray],
-        resume_from=None,
-    ) -> Iterator[tuple]:
-        """The per-tick loop, yielding ``(tick, time_s)``.
+        sink: Any,
+        bounds: Sequence[Tuple[int, int]],
+        resume: Optional[Tuple[int, str]] = None,
+        open_slices: Callable[..., Any] = InProcessSlices,
+    ) -> Iterator[Tuple[int, float]]:
+        """The fleet tick loop, yielding ``(tick, time_s)``.
 
-        Single implementation behind both :meth:`run` (which drains
-        it) and :meth:`run_stream`, for both in-process backends; the
-        yield sits after the tick's trace rows are final.  ``time_s``
-        in the yielded pair is the *end-of-tick* timestamp, matching
-        ``FleetResult.times_s``.
+        The one loop behind :meth:`run`, :meth:`run_stream` and
+        :func:`~repro.engine.sharded.run_sharded`; the yield sits after
+        the tick's trace rows are final.  ``time_s`` is the
+        *end-of-tick* timestamp, matching ``FleetResult.times_s``.
 
-        With ``resume_from`` the restored ticks are re-yielded first
-        (their trace rows come from the checkpoint), then the loop
-        continues from the checkpointed tick with restored physics,
-        controller, scheduler and fault-channel state — the completed
-        trace is bit-identical to an uninterrupted run.
+        With *resume* (``(tick, checkpoint directory)``, verified by
+        :meth:`_open_checkpoint`) the restored ticks are re-yielded
+        first, then the loop continues from the checkpointed tick with
+        restored physics, controller, scheduler and fault-channel state
+        — the completed trace is bit-identical to an uninterrupted run.
         """
-        n = self.fleet.server_count
-        start_tick = 0
-        restored = None
-        directory = None
-        if resume_from is not None:
-            start_tick, restored, directory = self._load_run_checkpoint(
-                resume_from, dt_s, steps, plan, trace
-            )
-        physics = self._build_physics(restored, directory)
-        control = ControlSlice(self.fleet, self.controllers, plan=plan)
-        if restored is not None:
-            control.load_state_arrays(restored)
-            executed = restored["executed"].copy()
-            pstate_now = restored["pstate_now"].copy()
-            exhaust_rise = restored["exhaust_rise"].copy()
-            max_junction_c = restored["max_junction"].copy()
-            leak_w = restored["leak_w"].copy()
-        else:
-            self.scheduler.reset()
-            control.reset(physics.rpm)
-            executed = np.zeros(n)
-            pstate_now = np.zeros(n, dtype=int)
-            exhaust_rise = np.zeros(n)
-            max_junction_c, leak_w = physics.initial_views_data()
-        inputs = TickInputs(self.fleet, self.workload, plan, steps, dt_s)
-        times_pre_list = inputs.times_list
-        rack_of = np.asarray(self.fleet.rack_index_of_server)
-        substeps, h = substep_schedule(dt_s)
-        # the leakage slope feeds only leakage-aware rankings and view
-        # fallbacks, so it is computed lazily from the pre-step state
-        slope_fn = physics.leakage_slope_w_per_c
-
-        trace_power = trace["power"]
-        trace_fan = trace["fan"]
-        trace_junction = trace["junction"]
-        trace_util = trace["util"]
-        trace_inlet = trace["inlet"]
-        trace_rpm = trace["rpm"]
-        trace_unserved = trace["unserved"]
-        trace_pstate = trace["pstate"]
-        trace_deficit = trace["deficit"]
-        trace_respilled = trace["respilled"]
-        trace_fault_unserved = trace["fault_unserved"]
-
-        scheduler = self.scheduler
-        apply_faults = plan is not None
-        dynamic_demand = self.workload.dynamic
-
-        # Observability taps — both None in plain batch runs, in which
-        # case the loop body takes the exact pre-existing path.
-        capture = self.capture
-        times_rec = np.arange(1, steps + 1) * dt_s
-        flush_start = 0
-        chunk_ticks = capture.chunk_ticks if capture is not None else 0
-        if capture is not None:
-            capture.bind(n)
-            # Replay the restored trace prefix through the capture tap
-            # in the exact chunk slices the uninterrupted run flushed:
-            # the store (lost with the interrupted process) is rebuilt
-            # bit-identically, and flush_start lands where it would be.
-            while flush_start + chunk_ticks <= start_tick:
-                self._capture_flush(
-                    times_rec, trace, flush_start, flush_start + chunk_ticks
-                )
-                flush_start += chunk_ticks
-        timers = None
-        if self.metrics is not None:
-            timers = (
-                self.metrics.timer(
-                    "repro_fleet_placement",
-                    "Placement policy + scheduler assignment",
-                ),
-                self.metrics.timer(
-                    "repro_fleet_control_poll",
-                    "Controller polls (fan + p-state decisions)",
-                ),
-                self.metrics.timer(
-                    "repro_fleet_thermal_step",
-                    "Physics step (RC substeps + power)",
-                ),
-                self.metrics.timer(
-                    "repro_fleet_trace_write",
-                    "Capture flushes into the timeseries store",
-                ),
-            )
-
-        ckpt_cfg = self.checkpoint
-        ckpt_every = ckpt_cfg.every_ticks(dt_s) if ckpt_cfg is not None else 0
-
-        for tick in range(start_tick):
-            yield tick, times_rec[tick]
-
-        for tick in range(start_tick, steps):
-            time_s = times_pre_list[tick]
-            total_demand = inputs.demand_total(tick)
-            inlet = inputs.inlet(tick, exhaust_rise)
-
-            if timers is not None:
-                _t0 = perf_counter()
-            (
-                decision,
-                trace_respilled[tick],
-                trace_fault_unserved[tick],
-            ) = scheduler.place(
-                FleetLoadArrays(
-                    utilization_pct=executed,
-                    max_junction_c=max_junction_c,
-                    inlet_c=inlet,
-                    leakage_w=leak_w,
-                    pstate_index=pstate_now,
-                    rack_index=rack_of,
-                    leakage_slope_fn=slope_fn,
-                ),
-                total_demand,
-                plan.outage[tick]
-                if apply_faults and plan.outage_any[tick]
-                else None,
-            )
-            if timers is not None:
-                timers[0].add(perf_counter() - _t0)
-                _t0 = perf_counter()
-            control.poll(time_s, physics, max_junction_c, executed)
-            if timers is not None:
-                timers[1].add(perf_counter() - _t0)
-
-            # a degraded fan bank caps the achievable rotor speed below
-            # the controller's command (the command itself is untouched)
-            if apply_faults and plan.has_fan_faults:
-                actuated_rpm = np.minimum(
-                    control.rpm_command, plan.rpm_cap[tick]
-                )
-            else:
-                actuated_rpm = control.rpm_command
-
-            if timers is not None:
-                _t0 = perf_counter()
-            air_capacity, leak_w = physics.step_into(
-                dt_s,
-                substeps,
-                h,
-                decision.allocations_pct,
-                actuated_rpm,
-                inlet,
-                trace_power[tick],
-                trace_fan[tick],
-                trace_junction[tick],
-                trace_util[tick],
-                trace_rpm[tick],
-                trace_pstate[tick],
-                trace_deficit[tick],
-            )
-            physics.check_critical(self.trip_on_critical)
-
-            max_junction_c = trace_junction[tick]
-            executed = trace_util[tick]
-            pstate_now = trace_pstate[tick]
-            # the exhaust temperature rise P / (m_dot c_p), with the
-            # stream heat capacity the step already computed
-            exhaust_rise = trace_power[tick] / air_capacity
-            trace_inlet[tick] = inlet
-            trace_unserved[tick] = decision.unserved_pct
-            if dynamic_demand:
-                self.workload.record_executed(
-                    time_s, float(executed.sum()), dt_s
-                )
-            if timers is not None:
-                timers[2].add(perf_counter() - _t0)
-
-            if capture is not None and (
-                tick + 1 - flush_start >= chunk_ticks or tick + 1 == steps
-            ):
-                if timers is not None:
-                    _t0 = perf_counter()
-                self._capture_flush(times_rec, trace, flush_start, tick + 1)
-                flush_start = tick + 1
-                if timers is not None:
-                    timers[3].add(perf_counter() - _t0)
-
-            if (
-                ckpt_cfg is not None
-                and tick + 1 < steps
-                and (
-                    (tick + 1) % ckpt_every == 0
-                    or self._checkpoint_requested
-                    or self._stop_requested
-                )
-            ):
-                state = control.state_arrays()
-                state.update(
-                    executed=np.array(executed),
-                    pstate_now=np.array(pstate_now),
-                    exhaust_rise=np.array(exhaust_rise),
-                    max_junction=np.array(max_junction_c),
-                    leak_w=np.array(leak_w),
-                )
-                self._write_run_checkpoint(
-                    tick + 1, dt_s, steps, plan, trace, state, physics
-                )
-            if self._stop_requested and tick + 1 < steps:
-                raise RunInterrupted(
-                    f"fleet run stopped at tick {tick + 1}/{steps}",
-                    self.last_checkpoint_path,
-                )
-
-            yield tick, times_rec[tick]
-
+        loop = _TickLoop(
+            self, dt_s, steps, plan, sink, bounds, resume, open_slices
+        )
+        try:
+            for tick in range(loop.start_tick):
+                yield tick, loop.end_times[tick]
+            for tick in range(loop.start_tick, steps):
+                loop.tick(tick)
+                yield tick, loop.end_times[tick]
+        finally:
+            loop.close()
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_fleet_ticks_total", "Fleet engine ticks executed"

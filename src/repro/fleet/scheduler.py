@@ -65,15 +65,8 @@ class FleetLoadArrays:
     ``(N,)`` arrays; policies that implement
     :meth:`PlacementPolicy.order_indices` rank directly on them instead
     of having the engine materialize N :class:`ServerLoadView` objects
-    every tick (the pre-kernel hot spot).
-
-    The leakage slope is evaluated lazily: it costs an ``(N, S)``
-    exponential, and only leakage-aware rankings (or the view
-    fallback) read it.  The provider reads the **live** fleet state,
-    so the first access must happen while the pre-step state is
-    current — i.e. inside ``order_indices`` during the scheduling
-    phase, before the tick's physics step (the value is cached from
-    then on).  Do not hold the object across ticks.
+    every tick (the pre-kernel hot spot).  The arrays are the tick
+    loop's live summary rows: do not hold the object across ticks.
     """
 
     __slots__ = (
@@ -83,8 +76,7 @@ class FleetLoadArrays:
         "leakage_w",
         "pstate_index",
         "rack_index",
-        "_slope",
-        "_slope_fn",
+        "leakage_slope_w_per_c",
     )
 
     def __init__(
@@ -95,8 +87,7 @@ class FleetLoadArrays:
         leakage_w: np.ndarray,
         pstate_index: np.ndarray,
         rack_index: np.ndarray,
-        leakage_slope_w_per_c: Optional[np.ndarray] = None,
-        leakage_slope_fn=None,
+        leakage_slope_w_per_c: np.ndarray,
     ):
         #: Executed utilization over the previous tick, percent.
         self.utilization_pct = utilization_pct
@@ -110,19 +101,8 @@ class FleetLoadArrays:
         self.pstate_index = pstate_index
         #: Rack index of each server.
         self.rack_index = rack_index
-        if leakage_slope_w_per_c is None and leakage_slope_fn is None:
-            raise ValueError(
-                "need leakage_slope_w_per_c or a leakage_slope_fn provider"
-            )
-        self._slope = leakage_slope_w_per_c
-        self._slope_fn = leakage_slope_fn
-
-    @property
-    def leakage_slope_w_per_c(self) -> np.ndarray:
-        """Marginal leakage cost ``dP_leak/dT_j`` per server, W/°C."""
-        if self._slope is None:
-            self._slope = self._slope_fn()
-        return self._slope
+        #: Marginal leakage cost ``dP_leak/dT_j`` per server, W/°C.
+        self.leakage_slope_w_per_c = leakage_slope_w_per_c
 
     def views(self) -> List[ServerLoadView]:
         """One :class:`ServerLoadView` per server, for view policies."""

@@ -1,14 +1,15 @@
 """Streamed fleet-trace segments: memory-mapped ``.npy`` spill files.
 
-The in-RAM :class:`~repro.telemetry.recorder.TraceRecorder` keeps every
-column resident, which caps both fleet size and horizon.  This module
-is the disk-backed twin used by the sharded fleet backend
+The fleet tick loop writes its trace rows into one of two sinks with
+one interface: the in-RAM block of the ``vector`` and ``reference``
+backends (:mod:`repro.fleet.engine`) and the disk-backed segments of
+this module, used by the ``sharded`` backend
 (:mod:`repro.engine.sharded`): one ``.npy`` file per trace column,
 created at full ``(steps, n)`` shape up front, written in
-``TraceRecorder.record_chunk``-compatible column chunks by each shard
-worker, and read back lazily through ``numpy`` memory maps so building
-a :class:`~repro.fleet.engine.FleetResult` never materializes an
-O(steps x n) array in RAM.
+``TraceRecorder.record_chunk``-compatible column chunks by each slice
+through its :class:`TraceRows`, and read back lazily through ``numpy``
+memory maps so building a :class:`~repro.fleet.engine.FleetResult`
+never materializes an O(steps x n) array in RAM.
 
 Layout of a trace directory::
 
@@ -30,6 +31,7 @@ import json
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     IO,
     Mapping,
@@ -45,9 +47,9 @@ if TYPE_CHECKING:  # circular at runtime: engine imports this module
     from repro.fleet.engine import FleetResult
     from repro.fleet.topology import Fleet
 
-#: Per-server trace columns streamed by the sharded fleet backend, in
-#: file order.  Matches the keys of ``FleetEngine._alloc_traces`` so
-#: the streamed surface cannot drift from the in-RAM trace block.
+#: Per-server trace columns, in file order.  Both trace sinks hold
+#: exactly these, so the streamed surface cannot drift from the in-RAM
+#: trace block.
 FLEET_TRACE_COLUMNS = (
     "power",
     "fan",
@@ -59,7 +61,7 @@ FLEET_TRACE_COLUMNS = (
     "deficit",
 )
 
-#: Per-tick scalar columns (coordinator-written, length ``steps``).
+#: Per-tick scalar columns (loop-written, length ``steps``).
 FLEET_SCALAR_TRACE_COLUMNS = (
     "unserved",
     "respilled",
@@ -90,6 +92,46 @@ def default_chunk_ticks(server_count: int) -> int:
 
 def _column_path(trace_dir: Path, name: str) -> Path:
     return trace_dir / f"{name}.npy"
+
+
+class TraceRows:
+    """One slice's rows of some trace columns, written tick by tick.
+
+    ``buffers[name][tick - start]`` is the row of ``tick``.  Over the
+    in-RAM block the buffers are the whole-horizon columns (``start``
+    stays 0 and nothing spills); over segments they are chunk buffers
+    that :meth:`end_tick` spills through ``writer.record_chunk`` at the
+    chunk boundaries and at the end of the run.
+    """
+
+    def __init__(
+        self,
+        buffers: Mapping[str, np.ndarray],
+        start: int = 0,
+        writer: Optional["ShardTraceWriter"] = None,
+    ) -> None:
+        self.buffers = buffers
+        self.start = int(start)
+        self.writer = writer
+        self._chunk_ticks = len(next(iter(buffers.values())))
+
+    def end_tick(self, tick: int, steps: int) -> None:
+        """Spill the buffered rows if ``tick`` ends a chunk or the run."""
+        stop = tick + 1
+        if self.writer is None or (
+            stop - self.start < self._chunk_ticks and stop < steps
+        ):
+            return
+        rows = stop - self.start
+        self.writer.record_chunk(
+            self.start, {name: buf[:rows] for name, buf in self.buffers.items()}
+        )
+        self.start = stop
+
+    def close(self) -> None:
+        """Flush and close the spill writer, if any."""
+        if self.writer is not None:
+            self.writer.close()
 
 
 class ShardTraceWriter:
@@ -128,11 +170,6 @@ class ShardTraceWriter:
         self._hi = int(hi)
         self._steps = int(steps)
         self._handles: Dict[str, IO[bytes]] = {}
-
-    @property
-    def width(self) -> int:
-        """Number of servers in the shard slice."""
-        return self._hi - self._lo
 
     def _handle(self, name: str) -> IO[bytes]:
         handle = self._handles.get(name)
@@ -193,7 +230,7 @@ class ShardTraceWriter:
                 handle.seek(position)
                 handle.write(memoryview(block[r]))
             # Push the tail write out of the userspace buffer: readers
-            # (the coordinator's capture views) mmap these files and
+            # (the loop's capture views) mmap these files and
             # only see what has reached the page cache.
             handle.flush()
 
@@ -206,13 +243,13 @@ class ShardTraceWriter:
 
 
 class ShardedTraceWriter:
-    """Creates the full-shape column files and hands out shard writers.
+    """The segment trace sink: full-shape column files, chunked rows.
 
-    The coordinator constructs one per run; each worker gets a
-    :class:`ShardTraceWriter` over its ``[lo, hi)`` server slice via
-    :meth:`shard_writer`.  Scalar (per-tick) columns and the optional
-    fault mask are written whole at :meth:`finalize` time — they are
-    O(steps) and coordinator-owned.
+    One per sharded run; each slice gets :class:`TraceRows` over its
+    ``[lo, hi)`` server slice via :meth:`rows`, spilled through a
+    :class:`ShardTraceWriter`.  The loop-owned scalar (per-tick)
+    columns live in :attr:`scalars` and, like the optional fault mask,
+    are written whole at :meth:`finalize` time — they are O(steps).
     """
 
     def __init__(
@@ -236,6 +273,10 @@ class ShardedTraceWriter:
         if chunk_ticks < 1:
             raise ValueError("chunk_ticks must be >= 1")
         self.chunk_ticks = int(min(chunk_ticks, steps))
+        #: The loop-owned per-tick scalar columns.
+        self.scalars = {
+            name: np.zeros(self.steps) for name in FLEET_SCALAR_TRACE_COLUMNS
+        }
         self._offsets: Dict[str, Tuple[Path, int]] = {}
         for name in FLEET_TRACE_COLUMNS:
             path = _column_path(self.trace_dir, name)
@@ -272,19 +313,39 @@ class ShardedTraceWriter:
             self._offsets[name] = (path, int(mapped.offset))
             del mapped
 
-    def shard_writer(
-        self, lo: int, hi: int, columns: Optional[Sequence[str]] = None
-    ) -> ShardTraceWriter:
-        """A chunked writer over the ``[lo, hi)`` server slice.
+    @property
+    def spill_ticks(self) -> int:
+        """The spill grid: rows are durable on disk at its boundaries."""
+        return self.chunk_ticks
 
-        *columns* restricts the writer (and its completeness check) to
-        a subset of the per-server columns — the sharded engine's
-        workers write the physics columns while the coordinator writes
-        ``inlet``, through two disjoint writers over the same files.
+    def rows(
+        self, lo: int, hi: int, columns: Sequence[str], start_tick: int
+    ) -> TraceRows:
+        """Chunk-buffered rows of *columns* over ``[lo, hi)``.
+
+        The buffers are the only O(chunk x width) state a slice holds.
+        Slices write the physics columns and the loop writes ``inlet``,
+        through disjoint writers over the same files.
         """
-        return ShardTraceWriter(
-            self._offsets, self.server_count, lo, hi, self.steps, columns
+        return TraceRows(
+            {
+                name: np.empty(
+                    (self.chunk_ticks, hi - lo), dtype=_COLUMN_DTYPES[name]
+                )
+                for name in columns
+            },
+            start_tick,
+            ShardTraceWriter(
+                self._offsets, self.server_count, lo, hi, self.steps, columns
+            ),
         )
+
+    def save_prefix(self, writer: Any, tick: int) -> None:
+        """Nothing to add to a cut: cuts land on the spill grid, so the
+        rows below one are already on disk."""
+
+    def load_prefix(self, directory: Any, tick: int) -> None:
+        """Nothing to restore: the rows below the cut are on disk."""
 
     def read_view(self, name: str) -> np.ndarray:
         """Read-only memory map of one per-server column being written.
@@ -297,28 +358,21 @@ class ShardedTraceWriter:
         path, _ = self._offsets[name]
         return np.load(path, mmap_mode="r")
 
-    def write_scalar(self, name: str, values: np.ndarray) -> None:
-        """Persist one per-tick scalar column (length ``steps``)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.steps,):
-            raise ValueError(
-                f"scalar column {name!r} must be ({self.steps},), "
-                f"got {values.shape}"
+    def finalize(
+        self,
+        meta: Mapping[str, object],
+        fault_active: Optional[np.ndarray] = None,
+    ) -> Path:
+        """Write the scalar columns, the optional ``(steps, n)`` fault
+        mask and ``meta.json`` (marking the trace complete); return the
+        ``meta.json`` path."""
+        for name, values in self.scalars.items():
+            np.save(_column_path(self.trace_dir, name), values)
+        if fault_active is not None:
+            np.save(
+                _column_path(self.trace_dir, "fault_active"),
+                np.asarray(fault_active, dtype=bool),
             )
-        np.save(_column_path(self.trace_dir, name), values)
-
-    def write_fault_active(self, mask: np.ndarray) -> None:
-        """Persist the optional ``(steps, n)`` fault-activity mask."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.steps, self.server_count):
-            raise ValueError(
-                f"fault mask must be ({self.steps}, {self.server_count}), "
-                f"got {mask.shape}"
-            )
-        np.save(_column_path(self.trace_dir, "fault_active"), mask)
-
-    def finalize(self, meta: Mapping[str, object]) -> Path:
-        """Write ``meta.json`` (marking the trace complete); return its path."""
         payload = dict(meta)
         payload.update(
             {
@@ -386,10 +440,6 @@ class FleetTraceReader:
         self._cache[name] = values
         return values
 
-    def times_s(self) -> np.ndarray:
-        """The end-of-tick timestamp grid (recomputed, bit-exact)."""
-        return np.arange(1, self.steps + 1) * self.dt_s
-
     def to_result(
         self, fleet: "Fleet", materialize: bool = False
     ) -> "FleetResult":
@@ -400,8 +450,7 @@ class FleetTraceReader:
         the columns are copied into RAM first — used for temp-spill
         runs whose directory is deleted right after.
         """
-        from repro.fleet.engine import FleetResult
-        from repro.fleet.metrics import compute_fleet_metrics
+        from repro.fleet.engine import fleet_result
 
         if fleet.server_count != self.server_count:
             raise ValueError(
@@ -418,44 +467,17 @@ class FleetTraceReader:
                 return materialized
             return values
 
-        trace = {
-            name: col(name)
-            for name in (*FLEET_TRACE_COLUMNS, *FLEET_SCALAR_TRACE_COLUMNS)
-        }
-        fault_active = col("fault_active")
-        metrics = compute_fleet_metrics(
+        return fleet_result(
             fleet,
             self.dt_s,
-            trace["power"],
-            trace["fan"],
-            trace["junction"],
-            trace["util"],
-            trace["inlet"],
-            trace["unserved"],
-            work_deficit_pct=trace["deficit"],
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
-        )
-        return FleetResult(
+            {
+                name: col(name)
+                for name in (*FLEET_TRACE_COLUMNS, *FLEET_SCALAR_TRACE_COLUMNS)
+            },
+            col("fault_active"),
             scheduler_name=str(self.meta.get("scheduler", "unknown")),
             controller_name=str(self.meta.get("controller", "unknown")),
             backend=str(self.meta.get("backend", "sharded")),
-            dt_s=self.dt_s,
-            times_s=self.times_s(),
-            total_power_w=trace["power"],
-            fan_power_w=trace["fan"],
-            max_junction_c=trace["junction"],
-            utilization_pct=trace["util"],
-            inlet_c=trace["inlet"],
-            mean_rpm=trace["rpm"],
-            unserved_pct=trace["unserved"],
-            pstate_index=trace["pstate"],
-            work_deficit_pct=trace["deficit"],
-            metrics=metrics,
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
         )
 
 

@@ -1,11 +1,14 @@
 """Per-rule fixture tests: each checker fires on its positive fixture
 and stays silent on its clean twin."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import LintEngine
+from repro.analysis.config import HOT_FUNCTIONS
 from repro.analysis.rules.units import unit_of_name
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
@@ -105,6 +108,34 @@ def test_r003_ignores_unmarked_functions():
 
 def test_r003_clean_fixture_passes():
     assert [f for f in lint_fixture("r003_clean.py") if f.rule == "R003"] == []
+
+
+def _qualified_defs(tree):
+    """Every function's dotted qualified name in a module AST."""
+    found = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                name = prefix + (child.name,)
+                if not isinstance(child, ast.ClassDef):
+                    found.add(".".join(name))
+                walk(child, name)
+
+    walk(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("suffix", sorted(HOT_FUNCTIONS))
+def test_r003_hot_registrations_name_real_functions(suffix):
+    """R003 skips a registered name that matches no def, so a stale
+    entry would silently drop the allocation check from a hot path."""
+    path = Path(repro.__file__).resolve().parent.parent / suffix
+    assert path.is_file(), f"no module {suffix}"
+    defined = _qualified_defs(ast.parse(path.read_text()))
+    assert sorted(HOT_FUNCTIONS[suffix] - defined) == []
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ may land on any reachable tick boundary.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.controllers.pid import PIController
@@ -252,6 +252,35 @@ class TestShardedResume:
             ).run(dt_s=DT_S, duration_s=DURATION_S, resume_from=cut)
             assert_identical(golden, resumed)
 
+    def test_resumed_cadence_rounds_onto_the_adopted_spill_grid(
+        self, tmp_path
+    ):
+        """A resumed run keeps the checkpointed spill grid (40 ticks
+        here) and rounds its own cadence (15 ticks) up onto it, so its
+        cuts land where every trace row below them is on disk."""
+        golden = make_engine().run(dt_s=DT_S, duration_s=DURATION_S)
+        trace = str(tmp_path / "trace")
+
+        def sharded(**kw):
+            return make_engine("sharded", shards=3, shard_mode="inline",
+                               trace_dir=trace, **kw)
+
+        first = CheckpointConfig(directory=tmp_path / "a", every_s=80.0,
+                                 keep=10)
+        sharded(checkpoint=first).run(dt_s=DT_S, duration_s=DURATION_S)
+        second = CheckpointConfig(directory=tmp_path / "b", every_s=30.0,
+                                  keep=10)
+        sharded(checkpoint=second).run(
+            dt_s=DT_S, duration_s=DURATION_S,
+            resume_from=list_checkpoints(first.root)[0],
+        )
+        cuts = list_checkpoints(second.root)
+        assert [c.name for c in cuts] == ["ckpt-000000000080"]
+        resumed = sharded().run(
+            dt_s=DT_S, duration_s=DURATION_S, resume_from=cuts[0]
+        )
+        assert_identical(golden, resumed)
+
     def test_checkpoint_needs_persistent_trace_dir(self, tmp_path):
         cfg = CheckpointConfig(directory=tmp_path / "ckpt")
         eng = make_engine("sharded", shards=2, shard_mode="inline",
@@ -316,20 +345,91 @@ def _golden():
     return _GOLDEN_CACHE["result"]
 
 
-@settings(max_examples=8, deadline=None)
-@given(every_ticks=st.integers(min_value=1, max_value=STEPS - 1))
-def test_any_cut_cadence_resumes_bit_identical(tmp_path_factory, every_ticks):
-    """Checkpoint cadence is a free knob: no cut tick changes a bit."""
-    tmp_path = tmp_path_factory.mktemp("ckpt-prop")
+def _check_cut_cadence(tmp_path, every_ticks, backend="vector", **kw):
     golden = _golden()
     cfg = CheckpointConfig(
         directory=tmp_path / "ckpt", every_s=every_ticks * DT_S, keep=1
     )
-    engine = make_engine(faults=make_faults(), checkpoint=cfg)
+    engine = make_engine(backend, make_faults(), checkpoint=cfg, **kw)
     assert_identical(golden, engine.run(dt_s=DT_S, duration_s=DURATION_S))
     cut = latest_checkpoint(cfg.root)
     assert cut is not None
-    resumed = make_engine(faults=make_faults()).run(
+    resumed = make_engine(backend, make_faults(), **kw).run(
         dt_s=DT_S, duration_s=DURATION_S, resume_from=cut
     )
     assert_identical(golden, resumed)
+
+
+@settings(max_examples=8, deadline=None)
+@given(every_ticks=st.integers(min_value=1, max_value=STEPS - 1))
+def test_any_cut_cadence_resumes_bit_identical(tmp_path_factory, every_ticks):
+    """Checkpoint cadence is a free knob: no cut tick changes a bit."""
+    _check_cut_cadence(tmp_path_factory.mktemp("ckpt-prop"), every_ticks)
+
+
+@settings(max_examples=8, deadline=None)
+@given(every_ticks=st.integers(min_value=1, max_value=STEPS - 1))
+@example(every_ticks=1)
+@example(every_ticks=5)
+@example(every_ticks=13)
+@example(every_ticks=50)
+@example(every_ticks=119)
+def test_any_cut_cadence_resumes_bit_identical_sharded(
+    tmp_path_factory, every_ticks
+):
+    """The same on the segment sink, whose spill chunk (7 ticks) does
+    not divide most cadences: cuts are rounded onto the spill grid."""
+    tmp_path = tmp_path_factory.mktemp("ckpt-prop-sharded")
+    _check_cut_cadence(
+        tmp_path,
+        every_ticks,
+        "sharded",
+        shards=3,
+        shard_mode="inline",
+        trace_dir=str(tmp_path / "trace"),
+        stream_chunk_ticks=7,
+    )
+
+
+# ----------------------------------------------------------------------
+# one checkpoint kind: the fingerprint tells runs apart
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "written, resumed",
+    [
+        ({"backend": "vector"}, {"backend": "reference"}),
+        ({"backend": "vector"}, {"backend": "sharded", "shards": 3}),
+        ({"backend": "sharded", "shards": 3}, {"backend": "vector"}),
+        (
+            {"backend": "sharded", "shards": 3},
+            {"backend": "sharded", "shards": 2},
+        ),
+    ],
+    ids=["vector-to-reference", "vector-to-sharded", "sharded-to-vector",
+         "3-to-2-shards"],
+)
+def test_other_backend_or_layout_refused(tmp_path, written, resumed):
+    def build(spec, **kw):
+        spec = dict(spec)
+        backend = spec.pop("backend")
+        if backend == "sharded":
+            spec.update(shard_mode="inline", trace_dir=str(tmp_path / "trace"))
+        return make_engine(backend, **spec, **kw)
+
+    cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0)
+    build(written, checkpoint=cfg).run(dt_s=DT_S, duration_s=DURATION_S)
+    with pytest.raises(CheckpointError, match="does not match"):
+        build(resumed).run(
+            dt_s=DT_S, duration_s=DURATION_S,
+            resume_from=latest_checkpoint(cfg.root),
+        )
+
+
+def test_other_checkpoint_kind_refused(tmp_path):
+    """Checkpoints of another kind (e.g. the former per-backend
+    ``fleet-vector`` layout) are refused before any state loads."""
+    writer = CheckpointWriter(tmp_path / "ckpt", 40)
+    writer.arrays("state", {"executed": np.zeros(6)})
+    path = writer.commit("fleet-vector", {"kind": "fleet-vector"})
+    with pytest.raises(CheckpointError, match="'fleet-vector'"):
+        make_engine().run(dt_s=DT_S, duration_s=DURATION_S, resume_from=path)

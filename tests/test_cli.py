@@ -304,8 +304,8 @@ class TestFleetCheckpoint:
         golden_out = capsys.readouterr().out
 
         class StoppingEngine(FleetEngine):
-            def _kernel_tick_stream(self, *args, **kwargs):
-                stream = super()._kernel_tick_stream(*args, **kwargs)
+            def _tick_stream(self, *args, **kwargs):
+                stream = super()._tick_stream(*args, **kwargs)
                 for i, item in enumerate(stream):
                     if i == 20:
                         self.request_stop()

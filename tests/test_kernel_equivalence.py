@@ -542,8 +542,8 @@ class TestSchedulerFastPath:
                 )
                 assert not decision.allocations_pct[out].any()
 
-    def test_lazy_slope_requires_provider(self):
-        with pytest.raises(ValueError, match="leakage_slope"):
+    def test_slope_is_required(self):
+        with pytest.raises(TypeError, match="leakage_slope_w_per_c"):
             FleetLoadArrays(
                 utilization_pct=np.zeros(2),
                 max_junction_c=np.zeros(2),

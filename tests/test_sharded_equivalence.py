@@ -16,6 +16,7 @@ and the single-process vector kernel, across:
 """
 
 from dataclasses import replace
+from threading import TIMEOUT_MAX
 from typing import get_type_hints
 
 import numpy as np
@@ -25,7 +26,8 @@ from repro.core.controllers.coordinated import CoordinatedController
 from repro.core.controllers.default import FixedSpeedController
 from repro.core.controllers.pid import PIController
 from repro.core.lut import build_lut_from_spec
-from repro.engine.sharded import _ShardWorker, resolve_shard_mode
+from repro.engine.control import FleetSlice
+from repro.engine.sharded import resolve_shard_mode
 from repro.fleet import (
     PLACEMENT_POLICIES,
     CracExcursionEvent,
@@ -274,13 +276,14 @@ class TestFaultSchedules:
 
 
 class TestCriticalTrip:
-    def _fleet_with_fragile_server(self):
+    def _fleet_with_fragile_server(self, fragile_servers=(4,)):
         fragile = ServerSpec(
             critical_temperature_c=76.0, target_max_temperature_c=70.0
         )
         # server 4 (inside the second of two shards) trips first
         specs = [default_server_spec()] * 6
-        specs[4] = fragile
+        for index in fragile_servers:
+            specs[index] = fragile
         from repro.fleet import Fleet, Rack
 
         return Fleet(
@@ -290,9 +293,20 @@ class TestCriticalTrip:
             )
         )
 
-    @pytest.mark.parametrize("shard_mode", ["inline", "process"])
-    def test_trip_matches_vector_message(self, shard_mode):
-        if shard_mode == "process" and resolve_shard_mode("auto") != "process":
+    @pytest.mark.parametrize(
+        "backend, kw",
+        [
+            ("sharded", {"shards": 2, "shard_mode": "inline"}),
+            ("sharded", {"shards": 2, "shard_mode": "process"}),
+            ("reference", {}),
+        ],
+        ids=["inline", "process", "reference"],
+    )
+    def test_trip_matches_vector_message(self, backend, kw):
+        if (
+            kw.get("shard_mode") == "process"
+            and resolve_shard_mode("auto") != "process"
+        ):
             pytest.skip("fork start method unavailable")
         fleet = self._fleet_with_fragile_server()
 
@@ -309,12 +323,30 @@ class TestCriticalTrip:
 
         with pytest.raises(CriticalTemperatureError) as vector_exc:
             build("vector").run(dt_s=5.0, duration_s=600.0)
-        with pytest.raises(CriticalTemperatureError) as sharded_exc:
-            build("sharded", shards=2, shard_mode=shard_mode).run(
-                dt_s=5.0, duration_s=600.0
+        with pytest.raises(CriticalTemperatureError) as other_exc:
+            build(backend, **kw).run(dt_s=5.0, duration_s=600.0)
+        assert str(other_exc.value) == str(vector_exc.value)
+        assert "server 4" in str(other_exc.value)
+
+    def test_first_server_in_fleet_order_trips(self):
+        """Servers 1 and 4 trip on the same tick, one per shard: the
+        trip rule names the first in fleet index order."""
+        fleet = self._fleet_with_fragile_server(fragile_servers=(1, 4))
+        for backend, kw in (
+            ("vector", {}),
+            ("sharded", {"shards": 2, "shard_mode": "inline"}),
+        ):
+            engine = FleetEngine(
+                fleet,
+                FleetWorkload(
+                    StaircaseProfile([100.0], 600.0), fleet.server_count
+                ),
+                controller_factory=lambda i: FixedSpeedController(rpm=1800.0),
+                backend=backend,
+                **kw,
             )
-        assert str(sharded_exc.value) == str(vector_exc.value)
-        assert "server 4" in str(sharded_exc.value)
+            with pytest.raises(CriticalTemperatureError, match="server 1 "):
+                engine.run(dt_s=5.0, duration_s=600.0)
 
 
 class TestCaptureAndPersistence:
@@ -397,8 +429,37 @@ class TestValidation:
                 fleet, workload, backend="sharded", shard_mode="threads"
             )
 
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), 1e300, 0.0, -1.0]
+    )
+    def test_barrier_timeout_keyword_must_be_finite(self, value):
+        fleet = build_uniform_fleet(rack_count=1, servers_per_rack=4)
+        workload = FleetWorkload(PROFILE, fleet.server_count)
+        with pytest.raises(ValueError, match="barrier_timeout_s"):
+            FleetEngine(
+                fleet, workload, backend="sharded", barrier_timeout_s=value
+            )
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e300", "0", "-5"])
+    def test_barrier_timeout_environment_must_be_finite(
+        self, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_BARRIER_TIMEOUT_S", value)
+        with pytest.raises(ValueError, match="REPRO_BARRIER_TIMEOUT_S"):
+            run_fleet("sharded", shards=2, shard_mode="inline")
+
+    def test_barrier_timeout_accepts_timeout_max(self, monkeypatch):
+        """The largest timeout a barrier wait accepts runs a forked run."""
+        if resolve_shard_mode("auto") != "process":
+            pytest.skip("fork start method unavailable")
+        monkeypatch.setenv("REPRO_BARRIER_TIMEOUT_S", repr(TIMEOUT_MAX))
+        base, _ = run_fleet("vector")
+        sharded, engine = run_fleet("sharded", shards=2, shard_mode="process")
+        assert engine.last_run_stats["barrier_timeout_s"] == TIMEOUT_MAX
+        assert_results_identical(base, sharded)
+
     def test_snapshot_annotations_resolve(self):
-        assert get_type_hints(_ShardWorker._snapshot_slice)["root"] is str
+        assert get_type_hints(FleetSlice.snapshot)["staging"] is str
 
     def test_bad_command_names_the_fleet_server(self):
         """A shard worker rejects an out-of-range fan command with the
