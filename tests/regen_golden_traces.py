@@ -9,19 +9,24 @@ Floats are written with ``repr`` — the shortest exact round-trip form
 
 Regenerate after an *intentional* model or schema change::
 
-    PYTHONPATH=src python tests/regen_golden_traces.py
+    PYTHONPATH=src python tests/regen_golden_traces.py [FILE ...]
 
-and commit the updated CSVs together with the change that explains
-them.  A diff you cannot explain is a regression, not a reason to
-regenerate.
+(no FILE rebuilds every golden) and commit the updated files together
+with the change that explains them.  A diff you cannot explain is a
+regression, not a reason to regenerate.
+
+``run_rows.json`` is not a trace: it holds the sweep row of every
+point in :data:`RUN_POINTS`, the matrix on which each CLI run command
+must equal its sweep point (``tests/test_run_description.py``).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -298,6 +303,97 @@ GOLDEN_BUILDERS = {
 
 
 # ----------------------------------------------------------------------
+# run_rows.json: the sweep rows of the CLI run-command matrix
+# ----------------------------------------------------------------------
+#: File holding the sweep row of every point in :data:`RUN_POINTS`.
+RUN_ROWS_FILE = "run_rows.json"
+
+
+def _fleet_point(controller: str, policy: str, backend: str, **extra):
+    """A 1x2-server, 0.5 h flash-crowd fleet point."""
+    params = {
+        "racks": 1,
+        "servers_per_rack": 2,
+        "policy": policy,
+        "workload": "flashcrowd",
+        "controller": controller,
+        "hours": 0.5,
+        "dt_s": 60.0,
+        "crac_supply_c": 24.0,
+        "seed": 0,
+        "backend": backend,
+    }
+    params.update(extra)
+    return "fleet", params
+
+
+def _facility_point(controller: str, arrivals: str):
+    """A 1x2-server, 1 h queue-driven facility point at a 24 degC CRAC."""
+    return "facility", {
+        "racks": 1,
+        "servers_per_rack": 2,
+        "policy": "coolest-first",
+        "arrivals": arrivals,
+        "jobs_per_hour": 6.0,
+        "controller": controller,
+        "hours": 1.0,
+        "dt_s": 60.0,
+        "crac_supply_c": 24.0,
+        "seed": 0,
+        "backend": "vector",
+    }
+
+
+def _experiment_point(controller: str):
+    """One controller on paper Test 2 at seed 3."""
+    return "experiment", {
+        "controller": controller,
+        "profile": "test2",
+        "seed": 3,
+        "characterization_seed": 3,
+    }
+
+
+#: Point id → ``(kind, params)``.  Every fleet controller, placement
+#: policy and backend appears at least once; ``tests/test_run_description.py``
+#: runs the matching CLI command for each point.
+RUN_POINTS = {
+    "fleet-default-round-robin-vector": _fleet_point(
+        "default", "round-robin", "vector"
+    ),
+    "fleet-bangbang-coolest-first-reference": _fleet_point(
+        "bangbang", "coolest-first", "reference"
+    ),
+    "fleet-lut-leakage-aware-vector": _fleet_point(
+        "lut", "leakage-aware", "vector"
+    ),
+    "fleet-pi-least-utilized-sharded": _fleet_point(
+        "pi", "least-utilized", "sharded", shards=2
+    ),
+    "fleet-coordinated-dvfs-aware-vector": _fleet_point(
+        "coordinated", "dvfs-aware", "vector"
+    ),
+    "facility-pi-poisson": _facility_point("pi", "poisson"),
+    "facility-lut-diurnal": _facility_point("lut", "diurnal"),
+    "facility-coordinated-bursty": _facility_point("coordinated", "bursty"),
+    **{
+        f"experiment-{name}-test2": _experiment_point(name)
+        for name in ("default", "bangbang", "lut", "pi", "oracle", "mpc")
+    },
+}
+
+
+def run_rows() -> Dict[str, Dict]:
+    """The sweep row of every point in :data:`RUN_POINTS`."""
+    from repro.sweep import ScenarioSpec, run_scenario
+
+    return {
+        point_id: run_scenario(ScenarioSpec(kind, params))
+        for point_id, (kind, params) in RUN_POINTS.items()
+    }
+
+
+# ----------------------------------------------------------------------
 # exact-round-trip CSV I/O
 # ----------------------------------------------------------------------
 def write_golden(path: Path, table: Table) -> None:
@@ -320,16 +416,32 @@ def read_golden(path: Path) -> Dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-def main() -> int:
-    """Rebuild every golden trace under ``tests/golden/``."""
+def write_run_rows(path: Path, rows: Dict[str, Dict]) -> None:
+    """Write sweep rows as JSON (floats via ``repr``, so exact)."""
+    path.write_text(json.dumps(rows, indent=1) + "\n")
+
+
+def read_run_rows(path: Path) -> Dict[str, Dict]:
+    """Parse the rows :func:`write_run_rows` wrote."""
+    return json.loads(path.read_text())
+
+
+def main(names: Sequence[str] = ()) -> int:
+    """Rebuild the named golden files (default: all) under ``tests/golden/``."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    wanted = set(names) or set(GOLDEN_BUILDERS) | {RUN_ROWS_FILE}
     for name, builder in GOLDEN_BUILDERS.items():
+        if name not in wanted:
+            continue
         table = builder()
         write_golden(GOLDEN_DIR / name, table)
         rows = len(table[1][0])
         print(f"wrote {GOLDEN_DIR / name} ({rows} rows x {len(table[0])} cols)")
+    if RUN_ROWS_FILE in wanted:
+        write_run_rows(GOLDEN_DIR / RUN_ROWS_FILE, run_rows())
+        print(f"wrote {GOLDEN_DIR / RUN_ROWS_FILE} ({len(RUN_POINTS)} rows)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
