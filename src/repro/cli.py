@@ -14,6 +14,9 @@
 
 Every subcommand prints plain text and writes optional artifacts, so
 the full reproduction can be driven from a shell with no Python.
+Each ``run``, ``fleet``, ``facility`` and ``serve`` invocation is a
+sweep point: its flags form the point's parameter mapping, and
+:func:`repro.sweep.build_run` builds the run from it.
 """
 
 from __future__ import annotations
@@ -23,19 +26,11 @@ import asyncio
 import csv
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.controllers.bangbang import BangBangController
-from repro.core.controllers.coordinated import CoordinatedController
-from repro.core.controllers.default import FixedSpeedController
-from repro.core.controllers.lut import LUTController
-from repro.core.controllers.mpc import build_mpc_from_characterization
-from repro.core.controllers.oracle import OracleController
-from repro.core.controllers.pid import PIController
 from repro.core.lut import LookupTable, build_lut_from_characterization
 from repro.engine.checkpoint import (
     EX_TEMPFAIL,
@@ -45,7 +40,6 @@ from repro.engine.checkpoint import (
 )
 from repro.experiments.characterization import run_characterization_steady
 from repro.experiments.report import (
-    build_paper_lut,
     build_table1,
     fig1a_series,
     fig1b_series,
@@ -54,30 +48,27 @@ from repro.experiments.report import (
     fig3_series,
     render_table1,
 )
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.runner import ExperimentConfig
 from repro.models.fitting import (
     CharacterizationSample,
     fit_fan_power_model,
     fit_power_model,
 )
-from repro.fleet import (
-    PLACEMENT_POLICIES,
-    FaultSchedule,
-    FleetEngine,
-    FleetScheduler,
-    build_uniform_fleet,
-)
+from repro.fleet import PLACEMENT_POLICIES, FaultSchedule
 from repro.reporting import ascii_chart, format_table, sparkline
-from repro.server.dvfs import default_dvfs_ladder
-from repro.server.specs import default_server_spec
 from repro.sweep import (
     DEFAULT_CACHE_DIR,
-    build_fleet_workload,
+    KIND_PARAMS,
+    build_run,
     fleet_grid,
+    run_experiment_point,
     run_sweep,
 )
-from repro.units import hours, kilowatts_to_watts
-from repro.workloads.tests import paper_test_profiles
+
+#: The aggregate-demand profiles of ``fleet``, ``serve`` and ``sweep``.
+FLEET_WORKLOADS = ("diurnal", "batch", "flashcrowd", "mixed")
+#: The controllers a fleet-scale run can put on every server.
+FLEET_CONTROLLERS = ("default", "bangbang", "lut", "pi", "coordinated")
 
 SAMPLE_COLUMNS = (
     "utilization_pct",
@@ -122,10 +113,16 @@ def _read_samples(path: Path) -> List[CharacterizationSample]:
         ]
 
 
-def _samples_or_default(args) -> List[CharacterizationSample]:
+def _fitted_samples(args):
+    """``--samples`` (default: a characterization at ``--seed``), fitted."""
     if args.samples is not None:
-        return _read_samples(Path(args.samples))
-    return run_characterization_steady(seed=args.seed)
+        samples = _read_samples(Path(args.samples))
+    else:
+        samples = run_characterization_steady(seed=args.seed)
+    fan = fit_fan_power_model(
+        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
+    )
+    return samples, fit_power_model(samples), fan
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +150,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    samples = _samples_or_default(args)
-    fitted = fit_power_model(samples)
-    fan = fit_fan_power_model(
-        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-    )
+    _, fitted, fan = _fitted_samples(args)
     print("power model: P_compute = C + k1*U + k2*exp(k3*T)")
     print(f"  C  = {fitted.c_w:.2f} W")
     print(f"  k1 = {fitted.k1_w_per_pct:.4f} W/%")
@@ -175,11 +168,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_lut(args) -> int:
-    samples = _samples_or_default(args)
-    fitted = fit_power_model(samples)
-    fan = fit_fan_power_model(
-        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-    )
+    samples, fitted, fan = _fitted_samples(args)
     lut, results = build_lut_from_characterization(
         samples, fitted, fan, max_temperature_c=args.max_temp
     )
@@ -199,42 +188,54 @@ def cmd_lut(args) -> int:
     return 0
 
 
-def _build_controller(name: str, args):
-    if name == "default":
-        return FixedSpeedController(rpm=args.rpm)
-    if name == "bangbang":
-        return BangBangController()
-    if name == "pi":
-        return PIController()
-    if name == "oracle":
-        return OracleController()
-    if name == "lut":
-        if args.lut:
-            lut = LookupTable.load(Path(args.lut))
-        else:
-            lut = build_paper_lut(seed=args.seed)
-        return LUTController(lut)
-    if name == "mpc":
-        samples = _samples_or_default(args)
-        fitted = fit_power_model(samples)
-        fan = fit_fan_power_model(
-            [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-        )
-        return build_mpc_from_characterization(samples, fitted, fan)
-    raise SystemExit(f"unknown controller {name!r}")
+# ----------------------------------------------------------------------
+# run commands: each invocation is a sweep point built by build_run
+# ----------------------------------------------------------------------
+#: Flags that name a file: what the file holds, and how it loads into
+#: the sweep parameter of the same name.
+_FILE_PARAMS = {
+    "lut": ("LUT", LookupTable.load),
+    "faults": ("fault spec", FaultSchedule.from_json),
+    "samples": ("samples file", _read_samples),
+}
+
+
+def _run_params(kind: str, args) -> Dict[str, Any]:
+    """The sweep point a run command describes: its parsed argv.
+
+    Each flag's ``dest`` is a parameter name of the scenario *kind*;
+    an unset flag (None) leaves its parameter at the kind's default.
+    """
+    params = {
+        name: value
+        for name, value in vars(args).items()
+        if name in KIND_PARAMS[kind] and value is not None
+    }
+    for name, (what, load) in _FILE_PARAMS.items():
+        if name in params:
+            try:
+                params[name] = load(Path(params[name]))
+            except (OSError, ValueError) as exc:
+                raise SystemExit(f"cannot load {what} {params[name]!r}: {exc}")
+    return params
+
+
+def _or_exit(build: Callable[[], Any]) -> Any:
+    """Call *build*; bad input (a ValueError) ends the command with its message."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_run(args) -> int:
-    profiles = paper_test_profiles()
-    if args.test not in profiles:
-        raise SystemExit(f"unknown test {args.test!r} (have {sorted(profiles)})")
-    controller = _build_controller(args.controller, args)
-    result = run_experiment(
-        controller, profiles[args.test], config=ExperimentConfig(seed=args.seed)
-    )
+    params = _run_params("experiment", args)
+    # the LUT and the MPC both characterize at --seed
+    params["characterization_seed"] = args.seed
+    result = _or_exit(lambda: run_experiment_point(params))
     m = result.metrics
     print(f"controller : {result.controller_name}")
-    print(f"test       : {args.test}")
+    print(f"test       : {args.profile}")
     print(f"energy     : {m.energy_kwh:.4f} kWh (net {m.net_energy_kwh:.4f})")
     print(f"peak power : {m.peak_power_w:.0f} W")
     print(f"max temp   : {m.max_temperature_c:.1f} degC")
@@ -300,95 +301,29 @@ def cmd_fig(args) -> int:
     return 0
 
 
-def _build_fleet_engine(args, backend: str) -> FleetEngine:
-    """Shared fleet/workload/controller assembly for fleet-style commands."""
-    if args.racks <= 0 or args.servers_per_rack <= 0:
-        raise SystemExit("--racks and --servers-per-rack must be positive")
-    if args.dt <= 0:
-        raise SystemExit("--dt must be positive")
-    if args.hours <= 0:
-        raise SystemExit("--hours must be positive")
-    spec = default_server_spec()
-    if args.controller == "coordinated":
-        # The coordinated fan+DVFS policy needs sockets with an actual
-        # voltage/frequency ladder to actuate.
-        spec = replace(spec, dvfs=default_dvfs_ladder())
-    fleet = build_uniform_fleet(
-        rack_count=args.racks,
-        servers_per_rack=args.servers_per_rack,
-        spec=spec,
-        crac_supply_c=args.crac_supply,
-    )
-    try:
-        profile = build_fleet_workload(
-            args.workload, hours(args.hours), seed=args.seed
-        )
-    except ValueError as exc:
-        raise SystemExit(f"cannot build {args.workload!r} workload: {exc}")
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultSchedule.from_json(Path(args.faults))
-            faults.validate_for(fleet)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load fault spec {args.faults!r}: {exc}")
-    if args.controller in ("lut", "coordinated"):
-        # build (or load) the LUT once and share it across all servers
-        # instead of re-running the characterization per controller.
-        if args.lut:
-            lut = LookupTable.load(Path(args.lut))
-        else:
-            lut = build_paper_lut(seed=args.seed)
-        if args.controller == "lut":
-            factory = lambda index: LUTController(lut)  # noqa: E731
-        else:
-            factory = lambda index: CoordinatedController(  # noqa: E731
-                lut, spec.dvfs
-            )
-    else:
-        factory = lambda index: _build_controller(  # noqa: E731
-            args.controller, args
-        )
-
-    sharded_kwargs = {}
-    if getattr(args, "shards", None) is not None:
-        sharded_kwargs["shards"] = args.shards
-    if getattr(args, "trace_dir", None) is not None:
-        sharded_kwargs["trace_dir"] = args.trace_dir
-    if getattr(args, "barrier_timeout", None) is not None:
-        sharded_kwargs["barrier_timeout_s"] = args.barrier_timeout
-    if getattr(args, "checkpoint_dir", None) is not None:
-        sharded_kwargs["checkpoint"] = CheckpointConfig(
-            directory=args.checkpoint_dir,
-            every_s=args.checkpoint_every,
-            keep=args.checkpoint_keep,
-            # serve has no --max-restarts (supervised restart is a
-            # sharded-run concern); fall back to the config default
-            max_restarts=getattr(args, "max_restarts", 2),
-        )
-    try:
-        return FleetEngine(
-            fleet,
-            profile,
-            scheduler=FleetScheduler(PLACEMENT_POLICIES[args.policy]()),
-            controller_factory=factory,
-            backend=backend,
-            seed=args.seed,
-            faults=faults,
-            **sharded_kwargs,
-        )
-    except ValueError as exc:
-        # e.g. --shards/--trace-dir without --backend sharded, or a
-        # shard count exceeding the server count
-        raise SystemExit(str(exc))
-
-
 def cmd_fleet(args) -> int:
-    engine = _build_fleet_engine(args, backend=args.backend)
+    def build():
+        checkpoint = None
+        if args.checkpoint_dir is not None:
+            checkpoint = CheckpointConfig(
+                directory=args.checkpoint_dir,
+                every_s=args.checkpoint_every,
+                keep=args.checkpoint_keep,
+                max_restarts=args.max_restarts,
+            )
+        return build_run(
+            "fleet",
+            _run_params("fleet", args),
+            checkpoint=checkpoint,
+            trace_dir=args.trace_dir,
+            barrier_timeout_s=args.barrier_timeout_s,
+        )
+
+    engine = _or_exit(build)
     fleet = engine.fleet
     faults = engine.faults
     try:
-        result = engine.run(dt_s=args.dt, resume_from=args.resume)
+        result = engine.run(dt_s=args.dt_s, resume_from=args.resume)
     except RunInterrupted as exc:
         # Exit-code hygiene: a stopped-but-checkpointed run is
         # resumable (EX_TEMPFAIL, 75); anything else is a failure.
@@ -409,10 +344,10 @@ def cmd_fleet(args) -> int:
     print(
         f"fleet      : {fleet.rack_count} racks x "
         f"{fleet.racks[0].server_count} servers "
-        f"({fleet.server_count} total), CRAC {args.crac_supply:.1f} degC"
+        f"({fleet.server_count} total), CRAC {args.crac_supply_c:.1f} degC"
     )
     print(
-        f"scenario   : {args.workload} x {args.hours:g} h, dt {args.dt:g} s, "
+        f"scenario   : {args.workload} x {args.hours:g} h, dt {args.dt_s:g} s, "
         f"policy {result.scheduler_name}, controller {result.controller_name}, "
         f"backend {result.backend}"
     )
@@ -479,101 +414,23 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_facility(args) -> int:
-    from repro.facility import (
-        CoolingPlant,
-        FacilityEngine,
-        PowerChain,
-        build_diurnal_carbon_model,
-        build_job_queue,
-    )
-    from repro.facility.workload import QUEUE_KINDS
-
-    if args.racks <= 0 or args.servers_per_rack <= 0:
-        raise SystemExit("--racks and --servers-per-rack must be positive")
-    if args.dt <= 0 or args.hours <= 0:
-        raise SystemExit("--dt and --hours must be positive")
-    if args.arrivals not in QUEUE_KINDS:
-        raise SystemExit(f"unknown arrival process {args.arrivals!r}")
-    spec = default_server_spec()
-    if args.controller == "coordinated":
-        spec = replace(spec, dvfs=default_dvfs_ladder())
-    fleet = build_uniform_fleet(
-        rack_count=args.racks,
-        servers_per_rack=args.servers_per_rack,
-        spec=spec,
-        crac_supply_c=args.crac_supply,
-    )
-    try:
-        queue = build_job_queue(
-            args.arrivals,
-            server_count=fleet.server_count,
-            duration_s=hours(args.hours),
-            seed=args.seed,
-            jobs_per_hour=args.jobs_per_hour,
-            mean_work_pct_s=args.mean_work_minutes * 60.0 * 100.0,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"cannot build {args.arrivals!r} queue: {exc}")
-    if args.controller in ("lut", "coordinated"):
-        if args.lut:
-            lut = LookupTable.load(Path(args.lut))
-        else:
-            lut = build_paper_lut(seed=args.seed)
-        if args.controller == "lut":
-            factory = lambda index: LUTController(lut)  # noqa: E731
-        else:
-            factory = lambda index: CoordinatedController(  # noqa: E731
-                lut, spec.dvfs
-            )
-    else:
-        factory = lambda index: _build_controller(  # noqa: E731
-            args.controller, args
-        )
-    try:
-        engine = FleetEngine(
-            fleet,
-            queue,
-            scheduler=FleetScheduler(PLACEMENT_POLICIES[args.policy]()),
-            controller_factory=factory,
-            backend=args.backend,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    cooling = (
-        None
-        if args.no_cooling
-        else CoolingPlant(supply_c=args.plant_supply)
-    )
-    rated_w = (
-        kilowatts_to_watts(args.rated_kw)
-        if args.rated_kw is not None
-        else fleet.server_count * 600.0
-    )
-    power = None if args.no_power_chain else PowerChain(rated_power_w=rated_w)
-    carbon = (
-        None
-        if args.no_carbon
-        else build_diurnal_carbon_model(
-            duration_s=hours(args.hours),
-            base_g_per_kwh=args.carbon_base,
-            peak_g_per_kwh=args.carbon_peak,
-        )
-    )
-    facility = FacilityEngine(engine, cooling=cooling, power=power, carbon=carbon)
-    result = facility.run(dt_s=args.dt)
+    params = _run_params("facility", args)
+    facility = _or_exit(lambda: build_run("facility", params))
+    result = facility.run(dt_s=args.dt_s)
+    fleet = facility.engine.fleet
+    plant_supply_c = params.get("plant_supply_c", args.crac_supply_c)
     m = result.metrics
     q = m.queue
 
     print(
         f"facility   : {fleet.rack_count} racks x "
         f"{fleet.racks[0].server_count} servers "
-        f"({fleet.server_count} total), CRAC {args.crac_supply:.1f} degC, "
-        f"plant supply {args.plant_supply:.1f} degC"
+        f"({fleet.server_count} total), CRAC {args.crac_supply_c:.1f} degC, "
+        f"plant supply {plant_supply_c:.1f} degC"
     )
     print(
         f"scenario   : {args.arrivals} arrivals x {args.hours:g} h, "
-        f"dt {args.dt:g} s, policy {result.fleet.scheduler_name}, "
+        f"dt {args.dt_s:g} s, policy {result.fleet.scheduler_name}, "
         f"controller {result.fleet.controller_name}, backend "
         f"{result.fleet.backend}"
     )
@@ -611,26 +468,34 @@ def cmd_facility(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def _build_service(args):
+    """The live telemetry service a ``repro serve`` invocation describes.
+
+    The service installs the engine's checkpointing from its own
+    config, so no ``checkpoint`` engine option is passed here.
+    """
     from repro.obs import LiveTelemetryService, ServiceConfig
 
-    engine = _build_fleet_engine(args, backend="vector")
-    if args.time_scale < 0:
-        raise SystemExit("--time-scale must be >= 0 (0 = fastest possible)")
-    service = LiveTelemetryService(
-        engine,
-        config=ServiceConfig(
-            host=args.host,
-            port=args.port,
-            dt_s=args.dt,
-            time_scale=args.time_scale,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every_s=args.checkpoint_every,
-            checkpoint_keep=args.checkpoint_keep,
-        ),
+    return _or_exit(
+        lambda: LiveTelemetryService(
+            build_run("fleet", _run_params("fleet", args)),
+            config=ServiceConfig(
+                host=args.host,
+                port=args.port,
+                dt_s=args.dt_s,
+                time_scale=args.time_scale,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every_s=args.checkpoint_every,
+                checkpoint_keep=args.checkpoint_keep,
+            ),
+        )
     )
+
+
+def cmd_serve(args) -> int:
+    service = _build_service(args)
     print(
-        f"serving {engine.fleet.server_count}-server "
+        f"serving {service.engine.fleet.server_count}-server "
         f"{args.workload} x {args.hours:g} h scenario on "
         f"http://{args.host}:{args.port}  "
         f"(/metrics /channels /alerts /stream; Ctrl-C stops)"
@@ -692,6 +557,8 @@ def _parse_list(text: str, cast, option: str) -> List:
 def cmd_sweep(args) -> int:
     if args.racks <= 0:
         raise SystemExit("--racks must be positive")
+    if args.shards is not None and args.backend != "sharded":
+        raise SystemExit("--shards requires --backend sharded")
     if args.hours <= 0 or args.dt <= 0:
         raise SystemExit("--hours and --dt must be positive")
     if args.workers < 0:
@@ -707,7 +574,7 @@ def cmd_sweep(args) -> int:
             )
     controllers = _parse_list(args.controller, str, "--controller")
     for controller in controllers:
-        if controller not in ("default", "bangbang", "lut", "pi", "coordinated"):
+        if controller not in FLEET_CONTROLLERS:
             raise SystemExit(f"unknown controller {controller!r}")
     cracs = _parse_list(args.crac, float, "--crac")
 
@@ -807,6 +674,73 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+_RPM_HELP = "default-controller RPM (default: the spec's firmware speed)"
+_BACKEND_HELP = (
+    "vector = kernelized batch, reference = one ServerSimulator per "
+    "server (the physics oracle), sharded = multi-process workers with "
+    "streamed traces (see docs/scaling.md)"
+)
+
+
+def _work_pct_s(minutes: str) -> float:
+    """``--mean-work-minutes`` as the ``mean_work_pct_s`` parameter."""
+    return float(minutes) * 60.0 * 100.0
+
+
+def _fleet_flags() -> argparse.ArgumentParser:
+    """The flags ``fleet``, ``facility`` and ``serve`` share, as a parent.
+
+    Built afresh for each command, so a command may change a default
+    with ``set_defaults`` without touching the others.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--racks", type=int, default=2, help="number of racks")
+    p.add_argument(
+        "--servers-per-rack", type=int, default=4, dest="servers_per_rack"
+    )
+    p.add_argument(
+        "--policy",
+        default="coolest-first",
+        choices=sorted(PLACEMENT_POLICIES),
+        help="job placement policy",
+    )
+    p.add_argument(
+        "--controller",
+        default="lut",
+        choices=FLEET_CONTROLLERS,
+        help="per-server fan (or coordinated fan+DVFS) controller",
+    )
+    p.add_argument("--hours", type=float, default=24.0, help="scenario length")
+    p.add_argument(
+        "--dt", type=float, default=60.0, dest="dt_s", help="tick length, s"
+    )
+    p.add_argument(
+        "--crac-supply", type=float, default=24.0, dest="crac_supply_c",
+        help="CRAC supply temperature, degC",
+    )
+    p.add_argument("--rpm", type=float, help=_RPM_HELP)
+    p.add_argument("--lut", help="LUT JSON for the lut controller")
+    return p
+
+
+def _checkpoint_cadence_flags(p: argparse.ArgumentParser) -> None:
+    """``--checkpoint-every`` and ``--checkpoint-keep`` (fleet and serve)."""
+    p.add_argument(
+        "--checkpoint-every",
+        type=float,
+        default=300.0,
+        dest="checkpoint_every",
+        help="checkpoint cadence in simulated seconds",
+    )
+    p.add_argument(
+        "--checkpoint-keep",
+        type=int,
+        default=2,
+        dest="checkpoint_keep",
+        help="retained checkpoint generations",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -838,16 +772,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-temp", type=float, default=75.0, dest="max_temp")
     p.set_defaults(func=cmd_lut)
 
+    # run, fleet, facility and serve: each flag's dest is the sweep
+    # parameter it sets (see _run_params and docs/sweeps.md)
     p = sub.add_parser("run", help="run one controller on one test workload")
     p.add_argument(
         "--controller",
         default="lut",
         choices=("default", "bangbang", "lut", "pi", "oracle", "mpc"),
     )
-    p.add_argument("--test", default="test3")
+    p.add_argument("--test", default="test3", dest="profile", metavar="TEST")
     p.add_argument("--lut", help="LUT JSON for the lut controller")
     p.add_argument("--samples", help="samples CSV for the mpc controller")
-    p.add_argument("--rpm", type=float, default=3300.0, help="default-controller RPM")
+    p.add_argument("--rpm", type=float, help=_RPM_HELP)
     p.add_argument("--trace", help="write the full trace CSV here")
     p.set_defaults(func=cmd_run)
 
@@ -858,36 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", required=True, choices=("1a", "1b", "2a", "2b", "3"))
     p.set_defaults(func=cmd_fig)
 
-    p = sub.add_parser("fleet", help="run a multi-server fleet scenario")
-    p.add_argument("--racks", type=int, default=2, help="number of racks")
-    p.add_argument(
-        "--servers-per-rack", type=int, default=4, dest="servers_per_rack"
+    p = sub.add_parser(
+        "fleet", parents=[_fleet_flags()], help="run a multi-server fleet scenario"
     )
-    p.add_argument(
-        "--policy",
-        default="coolest-first",
-        choices=sorted(PLACEMENT_POLICIES),
-        help="job placement policy",
-    )
-    p.add_argument(
-        "--workload",
-        default="diurnal",
-        choices=("diurnal", "batch", "flashcrowd", "mixed"),
-    )
-    p.add_argument(
-        "--controller",
-        default="lut",
-        choices=("default", "bangbang", "lut", "pi", "coordinated"),
-        help="per-server fan (or coordinated fan+DVFS) controller",
-    )
-    p.add_argument("--hours", type=float, default=24.0, help="scenario length")
-    p.add_argument("--dt", type=float, default=60.0, help="tick length, s")
-    p.add_argument(
-        "--crac-supply", type=float, default=24.0, dest="crac_supply",
-        help="CRAC supply temperature, degC",
-    )
-    p.add_argument("--rpm", type=float, default=3300.0, help="default-controller RPM")
-    p.add_argument("--lut", help="LUT JSON for the lut controller")
+    p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
     p.add_argument(
         "--faults",
         help="JSON fault spec (list of sensor/fan/outage/crac events, "
@@ -897,9 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="vector",
         choices=("vector", "reference", "sharded"),
-        help="vector = kernelized batch, reference = one "
-        "ServerSimulator per server (the physics oracle), sharded = "
-        "multi-process workers with streamed traces (see docs/scaling.md)",
+        help=_BACKEND_HELP,
     )
     p.add_argument(
         "--shards",
@@ -918,20 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write periodic run checkpoints here (see docs/resilience.md); "
         "an interrupted run exits 75 and can continue with --resume",
     )
-    p.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=300.0,
-        dest="checkpoint_every",
-        help="checkpoint cadence in simulated seconds",
-    )
-    p.add_argument(
-        "--checkpoint-keep",
-        type=int,
-        default=2,
-        dest="checkpoint_keep",
-        help="retained checkpoint generations",
-    )
+    _checkpoint_cadence_flags(p)
     p.add_argument(
         "--resume",
         help="continue a checkpointed run: a checkpoint directory, or a "
@@ -949,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--barrier-timeout",
         type=float,
-        dest="barrier_timeout",
+        dest="barrier_timeout_s",
         help="sharded tick-barrier timeout in seconds (default scales "
         "with the server count; env REPRO_BARRIER_TIMEOUT_S also works)",
     )
@@ -957,18 +852,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "facility",
+        parents=[_fleet_flags()],
         help="run a facility-composed scenario: job queue -> fleet -> "
         "cooling plant -> power chain -> carbon",
-    )
-    p.add_argument("--racks", type=int, default=2, help="number of racks")
-    p.add_argument(
-        "--servers-per-rack", type=int, default=4, dest="servers_per_rack"
-    )
-    p.add_argument(
-        "--policy",
-        default="coolest-first",
-        choices=sorted(PLACEMENT_POLICIES),
-        help="job placement policy",
     )
     p.add_argument(
         "--arrivals",
@@ -985,29 +871,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mean-work-minutes",
-        type=float,
-        default=5.0,
-        dest="mean_work_minutes",
+        type=_work_pct_s,
+        default="5",
+        dest="mean_work_pct_s",
+        metavar="MINUTES",
         help="mean job size, minutes of one full server",
-    )
-    p.add_argument(
-        "--controller",
-        default="lut",
-        choices=("default", "bangbang", "lut", "pi", "coordinated"),
-        help="per-server fan (or coordinated fan+DVFS) controller",
-    )
-    p.add_argument("--hours", type=float, default=24.0, help="scenario length")
-    p.add_argument("--dt", type=float, default=60.0, help="tick length, s")
-    p.add_argument(
-        "--crac-supply", type=float, default=24.0, dest="crac_supply",
-        help="CRAC supply temperature, degC",
     )
     p.add_argument(
         "--plant-supply",
         type=float,
-        default=24.0,
-        dest="plant_supply",
-        help="cooling-plant supply setpoint for the COP curve, degC",
+        dest="plant_supply_c",
+        help="cooling-plant supply setpoint for the COP curve, degC "
+        "(default: the CRAC supply)",
     )
     p.add_argument(
         "--rated-kw",
@@ -1019,14 +894,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--carbon-base",
         type=float,
         default=120.0,
-        dest="carbon_base",
+        dest="carbon_base_g_per_kwh",
         help="cleanest grid intensity, g CO2 per kWh",
     )
     p.add_argument(
         "--carbon-peak",
         type=float,
         default=450.0,
-        dest="carbon_peak",
+        dest="carbon_peak_g_per_kwh",
         help="dirtiest grid intensity, g CO2 per kWh",
     )
     p.add_argument(
@@ -1047,8 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="no_carbon",
         help="disable carbon accounting",
     )
-    p.add_argument("--rpm", type=float, default=3300.0, help="default-controller RPM")
-    p.add_argument("--lut", help="LUT JSON for the lut controller")
     p.add_argument(
         "--backend",
         default="vector",
@@ -1085,20 +958,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="24",
         help="comma-separated CRAC supply axis, degC",
     )
-    p.add_argument(
-        "--workload",
-        default="diurnal",
-        choices=("diurnal", "batch", "flashcrowd", "mixed"),
-    )
+    p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
     p.add_argument("--hours", type=float, default=24.0, help="scenario length")
     p.add_argument("--dt", type=float, default=60.0, help="tick length, s")
     p.add_argument(
         "--backend",
         default="vector",
         choices=("vector", "reference", "sharded"),
-        help="vector = kernelized batch, reference = one "
-        "ServerSimulator per server (the physics oracle), sharded = "
-        "multi-process workers with streamed traces (see docs/scaling.md)",
+        help=_BACKEND_HELP,
     )
     p.add_argument(
         "--shards",
@@ -1145,37 +1012,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
+        parents=[_fleet_flags()],
         help="run a fleet scenario live and serve its telemetry over HTTP",
     )
-    p.add_argument("--racks", type=int, default=2, help="number of racks")
-    p.add_argument(
-        "--servers-per-rack", type=int, default=4, dest="servers_per_rack"
-    )
-    p.add_argument(
-        "--policy",
-        default="coolest-first",
-        choices=sorted(PLACEMENT_POLICIES),
-        help="job placement policy",
-    )
-    p.add_argument(
-        "--workload",
-        default="diurnal",
-        choices=("diurnal", "batch", "flashcrowd", "mixed"),
-    )
-    p.add_argument(
-        "--controller",
-        default="pi",
-        choices=("default", "bangbang", "lut", "pi", "coordinated"),
-        help="per-server fan (or coordinated fan+DVFS) controller",
-    )
-    p.add_argument("--hours", type=float, default=12.0, help="scenario length")
-    p.add_argument("--dt", type=float, default=60.0, help="tick length, s")
-    p.add_argument(
-        "--crac-supply", type=float, default=24.0, dest="crac_supply",
-        help="CRAC supply temperature, degC",
-    )
-    p.add_argument("--rpm", type=float, default=3300.0, help="default-controller RPM")
-    p.add_argument("--lut", help="LUT JSON for the lut controller")
+    p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
     p.add_argument(
         "--faults",
         help="JSON fault spec injected into the run; detection is "
@@ -1196,21 +1036,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint the live run here: SIGTERM seals a final cut "
         "(exit 75) and the next start resumes from the latest one",
     )
-    p.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=300.0,
-        dest="checkpoint_every",
-        help="checkpoint cadence in simulated seconds",
-    )
-    p.add_argument(
-        "--checkpoint-keep",
-        type=int,
-        default=2,
-        dest="checkpoint_keep",
-        help="retained checkpoint generations",
-    )
-    p.set_defaults(func=cmd_serve)
+    _checkpoint_cadence_flags(p)
+    p.set_defaults(func=cmd_serve, controller="pi", hours=12.0)
 
     p = sub.add_parser(
         "lint",

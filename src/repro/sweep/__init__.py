@@ -9,9 +9,11 @@ makes a sweep a *declaration* instead of a hand-rolled loop:
   :class:`GridSpec` (a cross product of parameter axes), both reduced
   to a canonical content hash,
 * :mod:`repro.sweep.scenarios` — the runner registry mapping spec
-  kinds (``experiment``, ``lut_vs_default``, ``fleet``) onto the
-  existing engines, with per-process memoization of expensive
-  artifacts (LUT characterizations, model fits),
+  kinds (``experiment``, ``lut_vs_default``, ``fleet``, ``facility``)
+  onto the existing engines, with per-process memoization of expensive
+  artifacts (LUT characterizations, model fits); its
+  :func:`build_run` is the one place a fleet or facility run is built
+  from a parameter mapping, for the sweep and the CLI alike,
 * :mod:`repro.sweep.executor` — :func:`run_sweep`: cache resolution,
   a ``multiprocessing`` fan-out, deterministic row ordering, progress
   logging,
@@ -45,10 +47,14 @@ from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.sweep.executor import default_worker_count, run_sweep
 from repro.sweep.result import SweepResult
 from repro.sweep.scenarios import (
+    ENGINE_OPTIONS,
+    KIND_PARAMS,
     SCENARIO_KINDS,
     build_fleet_workload,
+    build_run,
     metrics_from_row,
     register_scenario,
+    run_experiment_point,
     run_scenario,
 )
 from repro.sweep.spec import (
@@ -113,18 +119,22 @@ def fleet_grid(
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
+    "ENGINE_OPTIONS",
     "GridSpec",
+    "KIND_PARAMS",
     "ResultCache",
     "SCENARIO_KINDS",
     "ScenarioSpec",
     "SweepResult",
     "build_fleet_workload",
+    "build_run",
     "canonical",
     "content_hash",
     "default_worker_count",
     "fleet_grid",
     "metrics_from_row",
     "register_scenario",
+    "run_experiment_point",
     "run_scenario",
     "run_sweep",
 ]

@@ -7,9 +7,9 @@ invocations.  The canonical location is ``benchmarks/results/cache/``
 (:data:`DEFAULT_CACHE_DIR`), but any directory works.
 
 Entries carry the schema version; bumping
-:data:`repro.sweep.spec.CACHE_SCHEMA_VERSION` (done whenever a
-runner's row shape changes) invalidates every older entry without
-touching the files.  Note the hash covers the scenario *inputs* — a
+:data:`repro.sweep.spec.CACHE_SCHEMA_VERSION` (done whenever the row
+a runner produces changes, in shape or in value) invalidates every
+older entry without touching the files.  Note the hash covers the scenario *inputs* — a
 change to the simulation physics itself does not change keys, so
 delete the cache directory (or pass ``--no-cache``) after modifying
 model code.

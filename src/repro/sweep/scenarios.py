@@ -1,8 +1,10 @@
 """Scenario runners: one function per sweep-point *kind*.
 
-Each runner maps a flat parameter dict onto the existing simulation
-entry points (:func:`repro.experiments.runner.run_experiment`,
-:class:`repro.fleet.engine.FleetEngine`) and returns the point's
+A point's flat parameter mapping is the one description of a run:
+the sweep kinds here and the ``repro run|fleet|facility|serve``
+commands all build from it.  :func:`build_run` turns a ``fleet`` or
+``facility`` mapping into its engine and :func:`run_experiment_point`
+runs an ``experiment`` mapping; each runner returns the point's
 *row* — a flat ``{column: float | int | str}`` mapping that the
 executor assembles into a :class:`~repro.sweep.result.SweepResult`
 table and the cache persists as JSON.
@@ -33,11 +35,51 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import replace
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Union
 
 import numpy as np
 
+from repro.core.controllers.bangbang import BangBangController
+from repro.core.controllers.coordinated import CoordinatedController
+from repro.core.controllers.default import FixedSpeedController
+from repro.core.controllers.lut import LUTController
+from repro.core.controllers.mpc import build_mpc_from_characterization
+from repro.core.controllers.oracle import OracleController
+from repro.core.controllers.pid import PIController
+from repro.core.lut import build_lut_from_spec
+from repro.experiments.characterization import run_characterization_steady
+from repro.experiments.metrics import ExperimentMetrics, net_savings_pct
+from repro.experiments.report import build_paper_lut
+from repro.experiments.runner import (
+    ExperimentConfig,
+    ExperimentResult,
+    run_experiment,
+)
+from repro.experiments.sensitivity import scale_leakage, scale_sensor_noise
+from repro.facility import (
+    CoolingPlant,
+    FacilityEngine,
+    PowerChain,
+    build_diurnal_carbon_model,
+    build_job_queue,
+)
+from repro.fleet.engine import FleetEngine
+from repro.fleet.faults import FaultSchedule
+from repro.fleet.scheduler import PLACEMENT_POLICIES, FleetScheduler
+from repro.fleet.topology import build_uniform_fleet
+from repro.models.fitting import fit_fan_power_model, fit_power_model
+from repro.server.ambient import ConstantAmbient
+from repro.server.dvfs import default_dvfs_ladder
+from repro.server.specs import default_server_spec
 from repro.sweep.spec import ScenarioSpec, content_hash
+from repro.units import hours, kilowatts_to_watts
+from repro.workloads.datacenter import (
+    build_batch_window_profile,
+    build_diurnal_profile,
+    build_flash_crowd_profile,
+    combine_profiles,
+)
+from repro.workloads.tests import build_test3_random_steps, paper_test_profiles
 
 #: Registered scenario runners, keyed by spec kind.
 SCENARIO_KINDS: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {}
@@ -83,7 +125,7 @@ def _memoized(tag: str, key_value: Any, build: Callable[[], Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# shared parameter resolution
+# the parameter sets
 # ----------------------------------------------------------------------
 #: Controller-selection parameters shared by the built-in kinds.
 _CONTROLLER_PARAMS = frozenset(
@@ -97,22 +139,67 @@ _CONTROLLER_PARAMS = frozenset(
         "lut_candidates_rpm",
         "lut_max_temperature_c",
         "characterization_seed",
+        "samples",
     }
 )
 #: Server-spec derivation parameters (scaling applied by _derived_spec).
 _SPEC_PARAMS = frozenset({"spec", "leakage_factor", "noise_factor"})
 #: Workload-profile resolution parameters.
 _PROFILE_PARAMS = frozenset({"profile", "profile_seed"})
+#: Parameters every fleet-scale run takes.
+_FLEET_PARAMS = _CONTROLLER_PARAMS | _SPEC_PARAMS | {
+    "racks",
+    "servers_per_rack",
+    "policy",
+    "hours",
+    "dt_s",
+    "crac_supply_c",
+    "seed",
+    "backend",
+}
+
+#: The parameters each built-in kind accepts.
+KIND_PARAMS: Dict[str, frozenset] = {
+    "experiment": _CONTROLLER_PARAMS | _SPEC_PARAMS | _PROFILE_PARAMS
+    | {"ambient_c", "seed"},
+    "lut_vs_default": _SPEC_PARAMS | _PROFILE_PARAMS
+    | {
+        "lut",
+        "lut_candidates_rpm",
+        "lut_max_temperature_c",
+        "characterization_seed",
+        "ambient_c",
+        "seed",
+    },
+    "fleet": _FLEET_PARAMS | {"workload", "shards", "faults"},
+    "facility": _FLEET_PARAMS
+    | {
+        "arrivals",
+        "jobs_per_hour",
+        "mean_work_pct_s",
+        "deadline_slack",
+        "plant_supply_c",
+        "rated_kw",
+        "carbon_base_g_per_kwh",
+        "carbon_peak_g_per_kwh",
+        "no_cooling",
+        "no_power_chain",
+        "no_carbon",
+    },
+}
+
+#: FleetEngine settings that cannot change a run's results.  They stay
+#: out of the content hash and reach :func:`build_run` as keywords.
+ENGINE_OPTIONS = frozenset({"checkpoint", "trace_dir", "barrier_timeout_s"})
 
 
-def _check_params(
-    params: Mapping[str, Any], allowed: frozenset, kind: str
-) -> None:
+def _check_params(params: Mapping[str, Any], kind: str) -> None:
     """Reject typo'd / unsupported parameters instead of ignoring them.
 
     A silently-dropped axis (e.g. ``ambeint_c``) would yield N
     identical rows presented as a real sweep.
     """
+    allowed = KIND_PARAMS[kind]
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise ValueError(
@@ -121,14 +208,16 @@ def _check_params(
         )
 
 
+# ----------------------------------------------------------------------
+# spec, profile and controller chain
+# ----------------------------------------------------------------------
 def _derived_spec(params: Mapping[str, Any]):
-    """The server spec after leakage / sensor-noise scaling."""
-    from repro.experiments.sensitivity import (  # runner-local: avoid cycle
-        scale_leakage,
-        scale_sensor_noise,
-    )
-    from repro.server.specs import default_server_spec
+    """The server spec after leakage / sensor-noise scaling.
 
+    The coordinated fan+DVFS policy needs sockets with a real p-state
+    ladder to actuate, so under it a single-state spec gets the
+    default ladder.
+    """
     spec = params.get("spec")
     spec = spec if spec is not None else default_server_spec()
     leakage_factor = float(params.get("leakage_factor", 1.0))
@@ -137,23 +226,18 @@ def _derived_spec(params: Mapping[str, Any]):
     noise_factor = float(params.get("noise_factor", 1.0))
     if noise_factor != 1.0:
         spec = scale_sensor_noise(spec, noise_factor)
+    if params.get("controller") == "coordinated" and len(spec.dvfs) == 1:
+        spec = replace(spec, dvfs=default_dvfs_ladder())
     return spec
 
 
 def _resolve_profile(params: Mapping[str, Any]):
     """The workload profile: an object, a paper-test name, or Test-3."""
-    from repro.workloads.tests import (
-        build_test3_random_steps,
-        paper_test_profiles,
-    )
-
     profile = params.get("profile")
+    seed = int(params.get("profile_seed", 1234))
     if profile is None:
-        return build_test3_random_steps(
-            seed=int(params.get("profile_seed", 1234))
-        )
+        return build_test3_random_steps(seed=seed)
     if isinstance(profile, str):
-        seed = int(params.get("profile_seed", 1234))
         named = _memoized(
             "paper_tests", seed, lambda: paper_test_profiles(seed=seed)
         )
@@ -167,9 +251,6 @@ def _resolve_profile(params: Mapping[str, Any]):
 
 def _resolve_lut(params: Mapping[str, Any], spec):
     """The lookup table: given, ladder-rebuilt, or the paper pipeline's."""
-    from repro.core.lut import build_lut_from_spec
-    from repro.experiments.report import build_paper_lut
-
     lut = params.get("lut")
     if lut is not None:
         return lut
@@ -194,69 +275,73 @@ def _resolve_lut(params: Mapping[str, Any], spec):
     )
 
 
-def _build_controller(name: str, params: Mapping[str, Any], spec):
-    """Instantiate the named fan controller for *spec*."""
-    from repro.core.controllers.bangbang import BangBangController
-    from repro.core.controllers.coordinated import CoordinatedController
-    from repro.core.controllers.default import FixedSpeedController
-    from repro.core.controllers.lut import LUTController
-    from repro.core.controllers.oracle import OracleController
-    from repro.core.controllers.pid import PIController
+def _fitted_models(samples):
+    """The power and fan models the MPC needs, fitted to *samples*."""
+    fitted = fit_power_model(samples)
+    fan = fit_fan_power_model(
+        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
+    )
+    return samples, fitted, fan
 
+
+def _mpc_models(params: Mapping[str, Any], spec):
+    """Given ``samples``, or a (memoized) characterization of *spec*."""
+    samples = params.get("samples")
+    if samples is not None:
+        return _fitted_models(list(samples))
+    seed = int(params.get("characterization_seed", 0))
+    return _memoized(
+        "mpc_models",
+        {"spec": spec, "seed": seed},
+        lambda: _fitted_models(
+            run_characterization_steady(spec=spec, seed=seed)
+        ),
+    )
+
+
+def _build_controller(params: Mapping[str, Any], spec) -> Callable[[int], Any]:
+    """The named controller chain for *spec*, as a per-server factory.
+
+    Expensive artifacts (the LUT, the MPC's fitted models) resolve
+    once per run; each factory call returns a fresh controller, since
+    controllers keep state (lockout clocks, integrators).
+    """
+    name = str(params.get("controller", "lut"))
     if name == "default":
         # Baseline consistency: without an explicit rpm the firmware
         # default of *this* spec is used, matching the lut_vs_default
         # kind's baseline (not a hardcoded 3300 RPM).
         rpm = params.get("rpm")
         rpm = float(rpm) if rpm is not None else spec.default_fan_rpm
-        return FixedSpeedController(rpm=rpm)
+        if not spec.fan.rpm_min <= rpm <= spec.fan.rpm_max:
+            raise ValueError(
+                f"rpm {rpm} outside supported range "
+                f"[{spec.fan.rpm_min}, {spec.fan.rpm_max}]"
+            )
+        return lambda index: FixedSpeedController(rpm=rpm)
     if name == "bangbang":
         thresholds = params.get("thresholds")
-        if thresholds is None:
-            return BangBangController()
-        return BangBangController(thresholds=thresholds)
+        bands = {} if thresholds is None else {"thresholds": thresholds}
+        return lambda index: BangBangController(**bands)
     if name == "pi":
-        return PIController(target_c=float(params.get("pi_target_c", 70.0)))
+        target_c = float(params.get("pi_target_c", 70.0))
+        return lambda index: PIController(target_c=target_c)
     if name == "oracle":
-        return OracleController(spec=spec)
-    if name == "lut":
-        return LUTController(
-            _resolve_lut(params, spec),
-            lockout_s=float(params.get("lut_lockout_s", 60.0)),
-        )
-    if name == "coordinated":
-        return CoordinatedController(
-            _resolve_lut(params, spec),
-            spec.dvfs,
-            lockout_s=float(params.get("lut_lockout_s", 60.0)),
+        return lambda index: OracleController(spec=spec)
+    if name in ("lut", "coordinated"):
+        lut = _resolve_lut(params, spec)
+        lockout_s = float(params.get("lut_lockout_s", 60.0))
+        if name == "lut":
+            return lambda index: LUTController(lut, lockout_s=lockout_s)
+        return lambda index: CoordinatedController(
+            lut, spec.dvfs, lockout_s=lockout_s
         )
     if name == "mpc":
-        from repro.core.controllers.mpc import build_mpc_from_characterization
-
-        seed = int(params.get("characterization_seed", 0))
-        # Memoize the characterization *artifacts*, not the controller:
-        # MPC instances are stateful (lockout clock) and must be fresh
-        # per call — a fleet hands one controller to each server.
-        samples, fitted, fan = _memoized(
-            "mpc_models",
-            {"spec": spec, "seed": seed},
-            lambda: _mpc_models(spec, seed),
+        samples, fitted, fan = _mpc_models(params, spec)
+        return lambda index: build_mpc_from_characterization(
+            samples, fitted, fan
         )
-        return build_mpc_from_characterization(samples, fitted, fan)
     raise ValueError(f"unknown controller {name!r}")
-
-
-def _mpc_models(spec, seed: int):
-    """Characterize *spec* and fit the power/fan models the MPC needs."""
-    from repro.experiments.characterization import run_characterization_steady
-    from repro.models.fitting import fit_fan_power_model, fit_power_model
-
-    samples = run_characterization_steady(spec=spec, seed=seed)
-    fitted = fit_power_model(samples)
-    fan = fit_fan_power_model(
-        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-    )
-    return samples, fitted, fan
 
 
 def _metrics_row(metrics, prefix: str = "") -> Dict[str, Any]:
@@ -278,8 +363,6 @@ def metrics_from_row(row: Mapping[str, Any], prefix: str = ""):
     ``lut_vs_default`` runners apply; works on table rows and cached
     JSON rows alike (units as in the dataclass: kWh, W, °C, RPM, %, s).
     """
-    from repro.experiments.metrics import ExperimentMetrics
-
     return ExperimentMetrics(
         **{
             field.name: row[f"{prefix}{field.name}"]
@@ -291,35 +374,31 @@ def metrics_from_row(row: Mapping[str, Any], prefix: str = ""):
 # ----------------------------------------------------------------------
 # kind: experiment — one controller, one profile, one (scaled) spec
 # ----------------------------------------------------------------------
-@register_scenario("experiment")
-def run_experiment_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Single-server closed-loop run; row = Table-I metrics + T spread."""
-    from repro.experiments.runner import ExperimentConfig, run_experiment
-    from repro.server.ambient import ConstantAmbient
-    from repro.server.dvfs import default_dvfs_ladder
+def run_experiment_point(params: Mapping[str, Any]) -> ExperimentResult:
+    """Run the single-server closed loop an ``experiment`` point describes.
 
-    _check_params(
-        params,
-        _CONTROLLER_PARAMS | _SPEC_PARAMS | _PROFILE_PARAMS
-        | {"ambient_c", "seed"},
-        "experiment",
-    )
+    Bad input raises :class:`ValueError`.  ``repro run`` prints the
+    result; the ``experiment`` kind flattens it into its row.
+    """
+    _check_params(params, "experiment")
     spec = _derived_spec(params)
-    controller_name = str(params.get("controller", "lut"))
-    if controller_name == "coordinated" and len(spec.dvfs) == 1:
-        # The coordinated fan+DVFS policy needs a real p-state ladder.
-        spec = replace(spec, dvfs=default_dvfs_ladder())
     profile = _resolve_profile(params)
-    controller = _build_controller(controller_name, params, spec)
+    controller = _build_controller(params, spec)(0)
     ambient_c = params.get("ambient_c")
     ambient = None if ambient_c is None else ConstantAmbient(float(ambient_c))
-    result = run_experiment(
+    return run_experiment(
         controller,
         profile,
         spec=spec,
         config=ExperimentConfig(seed=int(params.get("seed", 0))),
         ambient=ambient,
     )
+
+
+@register_scenario("experiment")
+def run_experiment_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Single-server closed-loop run; row = Table-I metrics + T spread."""
+    result = run_experiment_point(params)
     row = _metrics_row(result.metrics)
     row["controller_name"] = result.controller_name
     row["temperature_std_c"] = float(
@@ -339,39 +418,21 @@ def run_lut_vs_default_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     the (scaled) spec — the behaviour the leakage-strength sweep needs
     — memoized per worker process.
     """
-    from repro.core.controllers.default import FixedSpeedController
-    from repro.core.controllers.lut import LUTController
-    from repro.experiments.metrics import net_savings_pct
-    from repro.experiments.runner import ExperimentConfig, run_experiment
-    from repro.server.ambient import ConstantAmbient
-
-    _check_params(
-        params,
-        _SPEC_PARAMS | _PROFILE_PARAMS
-        | {
-            "lut",
-            "lut_candidates_rpm",
-            "lut_max_temperature_c",
-            "characterization_seed",
-            "ambient_c",
-            "seed",
-        },
-        "lut_vs_default",
-    )
+    _check_params(params, "lut_vs_default")
     spec = _derived_spec(params)
     profile = _resolve_profile(params)
     lut = _resolve_lut(params, spec)
     config = ExperimentConfig(seed=int(params.get("seed", 0)))
     ambient = ConstantAmbient(float(params.get("ambient_c", 24.0)))
-    default_run = run_experiment(
-        FixedSpeedController(rpm=spec.default_fan_rpm),
-        profile,
-        spec=spec,
-        config=config,
-        ambient=ambient,
-    )
-    lut_run = run_experiment(
-        LUTController(lut), profile, spec=spec, config=config, ambient=ambient
+    default_run, lut_run = (
+        run_experiment(
+            _build_controller(dict(params, controller=name), spec)(0),
+            profile,
+            spec=spec,
+            config=config,
+            ambient=ambient,
+        )
+        for name in ("default", "lut")
     )
     row = _metrics_row(default_run.metrics, "default_")
     row.update(_metrics_row(lut_run.metrics, "lut_"))
@@ -383,17 +444,10 @@ def run_lut_vs_default_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# kind: fleet — a rack-scale FleetEngine scenario
+# kinds: fleet and facility — one build_run
 # ----------------------------------------------------------------------
 def build_fleet_workload(name: str, duration_s: float, seed: int = 0):
     """Named aggregate-demand profile for fleet scenarios."""
-    from repro.workloads.datacenter import (
-        build_batch_window_profile,
-        build_diurnal_profile,
-        build_flash_crowd_profile,
-        combine_profiles,
-    )
-
     if name == "diurnal":
         return build_diurnal_profile(duration_s=duration_s, seed=seed)
     if name == "batch":
@@ -412,6 +466,112 @@ def build_fleet_workload(name: str, duration_s: float, seed: int = 0):
     raise ValueError(f"unknown fleet workload {name!r}")
 
 
+def build_run(
+    kind: str, params: Mapping[str, Any], **engine_options: Any
+) -> Union[FleetEngine, FacilityEngine]:
+    """Build the engine a ``fleet`` or ``facility`` point describes.
+
+    *params* is the point's parameter mapping (:data:`KIND_PARAMS`
+    lists each kind's names); every ``repro fleet``, ``facility`` and
+    ``serve`` invocation is such a mapping.  *engine_options* are the
+    :data:`ENGINE_OPTIONS` (checkpointing, the trace directory, the
+    barrier timeout), which cannot change results and so stay out of
+    the point's content hash.
+
+    Returns a :class:`~repro.fleet.engine.FleetEngine` for ``"fleet"``
+    and a :class:`~repro.facility.engine.FacilityEngine` for
+    ``"facility"``; run either with ``.run(dt_s=params["dt_s"])``.
+    Bad input raises :class:`ValueError`.
+    """
+    if kind not in ("fleet", "facility"):
+        raise ValueError(f"build_run builds fleet or facility runs, not {kind!r}")
+    unknown = sorted(set(engine_options) - ENGINE_OPTIONS)
+    if unknown:
+        raise TypeError(f"unknown engine option(s) {unknown}")
+    _check_params(params, kind)
+    for name in ("hours", "dt_s"):
+        if name in params and not float(params[name]) > 0.0:
+            raise ValueError(f"{name} must be positive, got {params[name]}")
+    spec = _derived_spec(params)
+    policy_name = str(params.get("policy", "coolest-first"))
+    if policy_name not in PLACEMENT_POLICIES:
+        raise ValueError(
+            f"unknown placement policy {policy_name!r} "
+            f"(have {sorted(PLACEMENT_POLICIES)})"
+        )
+    fleet = build_uniform_fleet(
+        rack_count=int(params.get("racks", 2)),
+        servers_per_rack=int(params.get("servers_per_rack", 4)),
+        spec=spec,
+        crac_supply_c=float(params.get("crac_supply_c", 24.0)),
+    )
+    seed = int(params.get("seed", 0))
+    duration_s = hours(float(params.get("hours", 24.0)))
+    if kind == "fleet":
+        workload = build_fleet_workload(
+            str(params.get("workload", "diurnal")), duration_s, seed=seed
+        )
+    else:
+        workload = build_job_queue(
+            str(params.get("arrivals", "diurnal")),
+            fleet.server_count,
+            duration_s=duration_s,
+            seed=seed,
+            jobs_per_hour=float(params.get("jobs_per_hour", 12.0)),
+            mean_work_pct_s=float(params.get("mean_work_pct_s", 30000.0)),
+            deadline_slack=float(params.get("deadline_slack", 4.0)),
+        )
+    shards = params.get("shards")
+    if shards is not None:
+        # sharded-only knob: an int or explicit shard sizes; enters the
+        # cache hash like every other param, so sharded rows never
+        # collide with vector rows.
+        engine_options["shards"] = (
+            tuple(int(s) for s in shards)
+            if isinstance(shards, (list, tuple))
+            else int(shards)
+        )
+    engine = FleetEngine(
+        fleet,
+        workload,
+        scheduler=FleetScheduler(PLACEMENT_POLICIES[policy_name]()),
+        controller_factory=_build_controller(params, spec),
+        backend=str(params.get("backend", "vector")),
+        seed=seed,
+        faults=FaultSchedule.resolve(params.get("faults")),
+        **engine_options,
+    )
+    if kind == "fleet":
+        return engine
+    # The plant holds the CRAC supply unless told otherwise, so a warmer
+    # CRAC setpoint also earns the plant's COP gain.
+    plant_supply_c = float(
+        params.get("plant_supply_c", params.get("crac_supply_c", 24.0))
+    )
+    rated_kw = params.get("rated_kw")
+    rated_w = (
+        kilowatts_to_watts(float(rated_kw))
+        if rated_kw is not None
+        else fleet.server_count * 600.0
+    )
+    return FacilityEngine(
+        engine,
+        cooling=None
+        if params.get("no_cooling")
+        else CoolingPlant(supply_c=plant_supply_c),
+        power=None
+        if params.get("no_power_chain")
+        else PowerChain(rated_power_w=rated_w),
+        carbon=None
+        if params.get("no_carbon")
+        else build_diurnal_carbon_model(
+            duration_s=duration_s,
+            base_g_per_kwh=float(params.get("carbon_base_g_per_kwh", 120.0)),
+            peak_g_per_kwh=float(params.get("carbon_peak_g_per_kwh", 450.0)),
+        ),
+    )
+
+
 @register_scenario("fleet")
 def run_fleet_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One FleetEngine scenario; row = fleet aggregates (kWh, W, °C, %·s).
@@ -424,95 +584,7 @@ def run_fleet_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     content-hash deterministically, so fault grids are cache-correct;
     pick one representation per sweep (they hash differently).
     """
-    from repro.core.controllers.coordinated import CoordinatedController
-    from repro.core.controllers.lut import LUTController
-    from repro.fleet.engine import FleetEngine
-    from repro.fleet.faults import FaultSchedule
-    from repro.fleet.scheduler import PLACEMENT_POLICIES, FleetScheduler
-    from repro.server.dvfs import default_dvfs_ladder
-    from repro.units import hours
-
-    _check_params(
-        params,
-        _CONTROLLER_PARAMS | _SPEC_PARAMS
-        | {
-            "racks",
-            "servers_per_rack",
-            "policy",
-            "workload",
-            "hours",
-            "dt_s",
-            "crac_supply_c",
-            "seed",
-            "backend",
-            "shards",
-            "faults",
-        },
-        "fleet",
-    )
-    fault_schedule = FaultSchedule.resolve(params.get("faults"))
-    # Leakage / sensor-noise scaling applies at fleet scale too — a
-    # leakage_factor axis must change the silicon, not be ignored.
-    spec = _derived_spec(params)
-    controller_name = str(params.get("controller", "lut"))
-    if controller_name == "coordinated" and len(spec.dvfs) == 1:
-        spec = replace(spec, dvfs=default_dvfs_ladder())
-    policy_name = str(params.get("policy", "coolest-first"))
-    if policy_name not in PLACEMENT_POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy_name!r} "
-            f"(have {sorted(PLACEMENT_POLICIES)})"
-        )
-
-    from repro.fleet.topology import build_uniform_fleet
-
-    fleet = build_uniform_fleet(
-        rack_count=int(params.get("racks", 2)),
-        servers_per_rack=int(params.get("servers_per_rack", 4)),
-        spec=spec,
-        crac_supply_c=float(params.get("crac_supply_c", 24.0)),
-    )
-    seed = int(params.get("seed", 0))
-    duration_s = hours(float(params.get("hours", 24.0)))
-    profile = build_fleet_workload(
-        str(params.get("workload", "diurnal")), duration_s, seed=seed
-    )
-
-    if controller_name == "lut":
-        lut = _resolve_lut(params, spec)
-        factory = lambda index: LUTController(lut)  # noqa: E731
-    elif controller_name == "coordinated":
-        lut = _resolve_lut(params, spec)
-        factory = lambda index: CoordinatedController(  # noqa: E731
-            lut, spec.dvfs
-        )
-    else:
-        factory = lambda index: _build_controller(  # noqa: E731
-            controller_name, params, spec
-        )
-
-    backend = str(params.get("backend", "vector"))
-    engine_kwargs: Dict[str, Any] = {}
-    if "shards" in params:
-        # sharded-only knob: an int or explicit shard sizes; enters the
-        # cache hash like every other param, so sharded rows never
-        # collide with vector rows.
-        raw_shards = params["shards"]
-        engine_kwargs["shards"] = (
-            tuple(int(s) for s in raw_shards)
-            if isinstance(raw_shards, (list, tuple))
-            else int(raw_shards)
-        )
-    engine = FleetEngine(
-        fleet,
-        profile,
-        scheduler=FleetScheduler(PLACEMENT_POLICIES[policy_name]()),
-        controller_factory=factory,
-        backend=backend,
-        seed=seed,
-        faults=fault_schedule,
-        **engine_kwargs,
-    )
+    engine = build_run("fleet", params)
     m = engine.run(dt_s=float(params.get("dt_s", 60.0))).metrics
     return {
         "server_count": m.server_count,
@@ -534,9 +606,6 @@ def run_fleet_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# kind: facility — fleet + cooling plant + power chain + carbon
-# ----------------------------------------------------------------------
 @register_scenario("facility")
 def run_facility_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One facility-composed scenario; row = PUE/energy/carbon + queue.
@@ -549,117 +618,7 @@ def run_facility_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     Queue-driven demand is evaluated tick by tick, so the sharded
     backend is rejected here (the engine raises).
     """
-    from repro.core.controllers.coordinated import CoordinatedController
-    from repro.core.controllers.lut import LUTController
-    from repro.facility import (
-        CoolingPlant,
-        FacilityEngine,
-        PowerChain,
-        build_diurnal_carbon_model,
-        build_job_queue,
-    )
-    from repro.fleet.engine import FleetEngine
-    from repro.fleet.scheduler import PLACEMENT_POLICIES, FleetScheduler
-    from repro.server.dvfs import default_dvfs_ladder
-    from repro.units import hours, kilowatts_to_watts
-
-    _check_params(
-        params,
-        _CONTROLLER_PARAMS | _SPEC_PARAMS
-        | {
-            "racks",
-            "servers_per_rack",
-            "policy",
-            "arrivals",
-            "jobs_per_hour",
-            "mean_work_pct_s",
-            "deadline_slack",
-            "hours",
-            "dt_s",
-            "crac_supply_c",
-            "plant_supply_c",
-            "rated_kw",
-            "carbon_base_g_per_kwh",
-            "carbon_peak_g_per_kwh",
-            "seed",
-            "backend",
-        },
-        "facility",
-    )
-    spec = _derived_spec(params)
-    controller_name = str(params.get("controller", "lut"))
-    if controller_name == "coordinated" and len(spec.dvfs) == 1:
-        spec = replace(spec, dvfs=default_dvfs_ladder())
-    policy_name = str(params.get("policy", "coolest-first"))
-    if policy_name not in PLACEMENT_POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy_name!r} "
-            f"(have {sorted(PLACEMENT_POLICIES)})"
-        )
-
-    from repro.fleet.topology import build_uniform_fleet
-
-    fleet = build_uniform_fleet(
-        rack_count=int(params.get("racks", 2)),
-        servers_per_rack=int(params.get("servers_per_rack", 4)),
-        spec=spec,
-        crac_supply_c=float(params.get("crac_supply_c", 24.0)),
-    )
-    seed = int(params.get("seed", 0))
-    duration_s = hours(float(params.get("hours", 24.0)))
-    queue = build_job_queue(
-        str(params.get("arrivals", "diurnal")),
-        fleet.server_count,
-        duration_s=duration_s,
-        seed=seed,
-        jobs_per_hour=float(params.get("jobs_per_hour", 12.0)),
-        mean_work_pct_s=float(params.get("mean_work_pct_s", 30000.0)),
-        deadline_slack=float(params.get("deadline_slack", 4.0)),
-    )
-
-    if controller_name == "lut":
-        lut = _resolve_lut(params, spec)
-        factory = lambda index: LUTController(lut)  # noqa: E731
-    elif controller_name == "coordinated":
-        lut = _resolve_lut(params, spec)
-        factory = lambda index: CoordinatedController(  # noqa: E731
-            lut, spec.dvfs
-        )
-    else:
-        factory = lambda index: _build_controller(  # noqa: E731
-            controller_name, params, spec
-        )
-
-    engine = FleetEngine(
-        fleet,
-        queue,
-        scheduler=FleetScheduler(PLACEMENT_POLICIES[policy_name]()),
-        controller_factory=factory,
-        backend=str(params.get("backend", "vector")),
-        seed=seed,
-    )
-    rated_kw = params.get("rated_kw")
-    rated_w = (
-        kilowatts_to_watts(float(rated_kw))
-        if rated_kw is not None
-        else fleet.server_count * 600.0
-    )
-    facility = FacilityEngine(
-        engine,
-        cooling=CoolingPlant(
-            supply_c=float(
-                params.get(
-                    "plant_supply_c", params.get("crac_supply_c", 24.0)
-                )
-            )
-        ),
-        power=PowerChain(rated_power_w=rated_w),
-        carbon=build_diurnal_carbon_model(
-            duration_s=duration_s,
-            base_g_per_kwh=float(params.get("carbon_base_g_per_kwh", 120.0)),
-            peak_g_per_kwh=float(params.get("carbon_peak_g_per_kwh", 450.0)),
-        ),
-    )
+    facility = build_run("facility", params)
     m = facility.run(dt_s=float(params.get("dt_s", 60.0))).metrics
     q = m.queue
     row: Dict[str, Any] = {

@@ -31,11 +31,13 @@ from typing import Any, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-#: Bumped whenever the row schema produced by the scenario runners
-#: changes shape; stale cache entries from older schemas are ignored.
+#: Bumped whenever the rows the scenario runners produce change, in
+#: shape or in value; stale cache entries from older schemas are ignored.
 #: v2: fleet rows gained the degraded-mode columns (fault_time_s,
 #: respilled_pct_s, fault_sla_pct_s).
-CACHE_SCHEMA_VERSION = 2
+#: v3: the fleet and facility kinds honour ``lut_lockout_s`` (v2 rows
+#: of points with a non-default lockout ran with the 60 s default).
+CACHE_SCHEMA_VERSION = 3
 
 #: Parameter values rendered directly into the tidy result table.
 _SCALAR_TYPES = (bool, int, float, str)

@@ -295,7 +295,7 @@ class TestFleetCheckpoint:
     ]
 
     def test_interrupt_resume_roundtrip(self, tmp_path, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.sweep.scenarios as scenarios
         from repro.engine.checkpoint import EX_TEMPFAIL
         from repro.fleet.engine import FleetEngine
 
@@ -313,11 +313,12 @@ class TestFleetCheckpoint:
 
         ckpt = tmp_path / "ckpt"
         flags = ["--checkpoint-dir", str(ckpt), "--checkpoint-every", "300"]
-        monkeypatch.setattr(cli, "FleetEngine", StoppingEngine)
+        # build_run is the one place a run's FleetEngine is constructed
+        monkeypatch.setattr(scenarios, "FleetEngine", StoppingEngine)
         assert main(golden + flags) == EX_TEMPFAIL
         captured = capsys.readouterr()
         assert "--resume" in captured.err
-        monkeypatch.setattr(cli, "FleetEngine", FleetEngine)
+        monkeypatch.setattr(scenarios, "FleetEngine", FleetEngine)
 
         assert main(golden + flags + ["--resume", str(ckpt)]) == 0
         resumed_out = capsys.readouterr().out
@@ -344,7 +345,7 @@ class TestFleetCheckpoint:
 class TestServeCheckpointArgs:
     def test_serve_namespace_builds_engine_with_checkpoint(self, tmp_path):
         # serve defines --checkpoint-dir but not --max-restarts; the
-        # engine builder must not assume the fleet-only flags exist.
+        # service installs the engine's checkpointing from its config.
         import repro.cli as cli
 
         args = cli.build_parser().parse_args(
@@ -355,10 +356,13 @@ class TestServeCheckpointArgs:
                 "--hours", "1",
                 "--dt", "60",
                 "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--checkpoint-every", "120",
             ]
         )
-        engine = cli._build_fleet_engine(args, backend="vector")
+        engine = cli._build_service(args).engine
         assert engine.checkpoint is not None
+        assert engine.checkpoint.directory == str(tmp_path / "ckpt")
+        assert engine.checkpoint.every_s == 120.0
         assert engine.checkpoint.max_restarts == 2
 
 

@@ -140,3 +140,121 @@ def test_sweep_row_matches_golden(point_id, golden_rows):
     row = run_scenario(ScenarioSpec(kind, params))
     # JSON keeps floats as repr, so the round trip is exact
     assert row == golden_rows[point_id]
+
+
+def test_plant_supply_defaults_to_the_crac_supply(monkeypatch, capsys):
+    # a warmer CRAC setpoint also moves the plant's COP curve, as in
+    # the sweep: the command equals the point without plant_supply_c
+    kind, params = RUN_POINTS["facility-pi-poisson"]
+    runs = _recorded_runs(monkeypatch, FacilityEngine)
+    argv = CLI_ARGV["facility-pi-poisson"] + ["--crac-supply", "27"]
+    assert main(argv) == 0
+    assert "CRAC 27.0 degC, plant supply 27.0 degC" in capsys.readouterr().out
+    run_scenario(ScenarioSpec(kind, dict(params, crac_supply_c=27.0)))
+    cli_result, sweep_result = runs
+    assert _bits(cli_result.metrics) == _bits(sweep_result.metrics)
+    assert cli_result.metrics.pue < 1.33  # 1.365 with a 24 degC plant
+
+
+_ONE_SERVER = ["--racks", "1", "--servers-per-rack", "1"]
+_RPM_RANGE = "rpm 99999.0 outside supported range [1800.0, 4200.0]"
+
+#: Case id → bad argv and the message it must exit with.
+BAD_INPUT = {
+    "facility-rated-kw-0": (
+        ["facility", *_ONE_SERVER, "--rated-kw", "0"],
+        "rated_power_w must be",
+    ),
+    "facility-rated-kw-negative": (
+        ["facility", *_ONE_SERVER, "--rated-kw", "-1"],
+        "rated_power_w must be",
+    ),
+    "run-rpm": (
+        ["run", "--controller", "default", "--rpm", "99999"],
+        _RPM_RANGE,
+    ),
+    "fleet-rpm": (
+        ["fleet", *_ONE_SERVER, "--controller", "default", "--rpm", "99999"],
+        _RPM_RANGE,
+    ),
+    "facility-rpm": (
+        ["facility", *_ONE_SERVER, "--controller", "default", "--rpm", "99999"],
+        _RPM_RANGE,
+    ),
+    "sweep-shards-without-sharded": (
+        ["sweep", *_ONE_SERVER, "--shards", "2", "--hours", "0.25",
+         "--no-cache", "--quiet"],
+        "--shards requires --backend sharded",
+    ),
+    "fleet-hours-0": (
+        ["fleet", *_ONE_SERVER, "--hours", "0"],
+        "hours must be positive",
+    ),
+    "facility-dt-negative": (
+        ["facility", *_ONE_SERVER, "--dt", "-60"],
+        "dt_s must be positive",
+    ),
+    "serve-time-scale-negative": (
+        ["serve", *_ONE_SERVER, "--time-scale", "-1"],
+        "time_scale must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_exits_with_a_one_line_message(case):
+    argv, message = BAD_INPUT[case]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    code = excinfo.value.code
+    # a str code: Python prints it to stderr and exits 1
+    assert isinstance(code, str) and "\n" not in code
+    assert message in code
+
+
+#: Options that configure the front end, not the run: they need no
+#: sweep parameter.
+FRONT_END_OPTIONS = {"trace", "resume", "host", "port", "time_scale"}
+#: The checkpoint flags: the ``checkpoint`` engine option of ``fleet``,
+#: the ServiceConfig of ``serve``.
+CHECKPOINT_FLAGS = {
+    "checkpoint_dir",
+    "checkpoint_every",
+    "checkpoint_keep",
+    "max_restarts",
+}
+#: Run command → the sweep kind its invocations are points of.
+COMMAND_KINDS = {
+    "run": "experiment",
+    "fleet": "fleet",
+    "facility": "facility",
+    "serve": "fleet",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KINDS))
+def test_every_flag_has_a_destination(command):
+    import argparse
+
+    from repro.cli import build_parser
+    from repro.sweep import ENGINE_OPTIONS, KIND_PARAMS
+
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    destinations = (
+        KIND_PARAMS[COMMAND_KINDS[command]]
+        | ENGINE_OPTIONS
+        | FRONT_END_OPTIONS
+        | CHECKPOINT_FLAGS
+    )
+    orphans = [
+        action.option_strings
+        for action in subparsers.choices[command]._actions
+        if action.dest not in destinations | {"help"}
+    ]
+    assert orphans == [], (
+        f"repro {command} flags with no sweep parameter or engine option"
+    )

@@ -7,6 +7,7 @@ whose warm runs perform zero engine invocations.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -417,3 +418,135 @@ class TestFaultGrids:
         assert warm.executed_count == 0
         assert warm.cache_hit_count == 3
         assert cold.equals(warm)
+
+
+class TestBuildRun:
+    """build_run is the one place a fleet or facility run is built."""
+
+    _FLEET = {
+        "racks": 1,
+        "servers_per_rack": 2,
+        "hours": 1.0,
+        "dt_s": 5.0,
+        "controller": "lut",
+        "workload": "flashcrowd",
+        "policy": "round-robin",
+    }
+
+    def test_fleet_kind_honours_lut_lockout(self):
+        from repro.core.controllers.lut import LUTController
+        from repro.experiments.report import build_paper_lut
+        from repro.fleet import (
+            FleetEngine,
+            FleetScheduler,
+            RoundRobinPolicy,
+            build_uniform_fleet,
+        )
+        from repro.sweep import build_fleet_workload
+
+        rows = [
+            run_scenario(
+                ScenarioSpec("fleet", dict(self._FLEET, lut_lockout_s=lockout))
+            )
+            for lockout in (0.0, 900.0)
+        ]
+        assert rows[0]["energy_kwh"] != rows[1]["energy_kwh"]
+        lut = build_paper_lut(seed=0)
+        direct = FleetEngine(
+            build_uniform_fleet(rack_count=1, servers_per_rack=2),
+            build_fleet_workload("flashcrowd", 3600.0, seed=0),
+            scheduler=FleetScheduler(RoundRobinPolicy()),
+            controller_factory=lambda i: LUTController(lut, lockout_s=900.0),
+        ).run(dt_s=5.0).metrics
+        assert rows[1]["energy_kwh"] == direct.energy_kwh
+        assert rows[1]["hot_spot_c"] == direct.hot_spot_c
+
+    @pytest.mark.parametrize("controller", ["lut", "coordinated"])
+    def test_facility_kind_honours_lut_lockout(self, controller):
+        base = {
+            "racks": 1,
+            "servers_per_rack": 2,
+            "hours": 0.5,
+            "dt_s": 5.0,
+            "controller": controller,
+            "arrivals": "poisson",
+            "jobs_per_hour": 30.0,
+        }
+        rows = [
+            run_scenario(
+                ScenarioSpec("facility", dict(base, lut_lockout_s=lockout))
+            )
+            for lockout in (0.0, 900.0)
+        ]
+        assert rows[0]["it_energy_kwh"] != rows[1]["it_energy_kwh"]
+
+    #: Case id → a kind, the bad parameters it must refuse, and why.
+    _BAD = {
+        "fleet-hours-0": ("fleet", {"hours": 0.0}, "hours must be positive"),
+        "fleet-dt-negative": ("fleet", {"dt_s": -5.0}, "dt_s must be positive"),
+        "fleet-no-racks": ("fleet", {"racks": 0}, "must be positive"),
+        "fleet-shards-on-vector": ("fleet", {"shards": 2}, "backend='sharded'"),
+        "fleet-rpm-out-of-range": (
+            "fleet",
+            {"controller": "default", "rpm": 99999.0},
+            "outside supported range",
+        ),
+        "facility-rated-kw-0": ("facility", {"rated_kw": 0.0}, "rated_power_w"),
+        "facility-sharded": ("facility", {"backend": "sharded"}, "dynamic"),
+        "facility-negative-lockout": (
+            "facility", {"lut_lockout_s": -1.0}, "lockout_s"
+        ),
+        "experiment-kind": ("experiment", {}, "fleet or facility"),
+    }
+
+    @pytest.mark.parametrize("case", list(_BAD))
+    def test_bad_input_raises_value_error(self, case):
+        from repro.sweep import build_run
+
+        kind, bad, reason = self._BAD[case]
+        params = dict(self._FLEET, **bad)
+        if kind == "facility":
+            del params["workload"]
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            build_run(kind, params)
+
+    def test_only_result_neutral_engine_options(self):
+        from repro.sweep import build_run
+
+        with pytest.raises(TypeError, match="engine option"):
+            build_run("fleet", {"racks": 1}, seed=3)
+
+    def test_facility_layers_can_be_switched_off(self):
+        row = run_scenario(
+            ScenarioSpec(
+                "facility",
+                {
+                    "racks": 1,
+                    "servers_per_rack": 1,
+                    "hours": 0.5,
+                    "controller": "pi",
+                    "no_cooling": True,
+                    "no_power_chain": True,
+                    "no_carbon": True,
+                },
+            )
+        )
+        assert row["cooling_energy_kwh"] == 0.0
+        assert row["chain_loss_kwh"] == 0.0
+        assert row["carbon_kg"] == 0.0
+        assert row["pue"] == 1.0
+
+    def test_mpc_samples_equal_a_characterization_at_that_seed(
+        self, characterization_samples, short_profile
+    ):
+        # the session samples are the steady characterization at seed 7
+        base = {"controller": "mpc", "profile": short_profile}
+        given = run_scenario(
+            ScenarioSpec(
+                "experiment", dict(base, samples=characterization_samples)
+            )
+        )
+        characterized = run_scenario(
+            ScenarioSpec("experiment", dict(base, characterization_seed=7))
+        )
+        assert given == characterized
