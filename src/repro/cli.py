@@ -119,10 +119,11 @@ def _fitted_samples(args):
         samples = _read_samples(Path(args.samples))
     else:
         samples = run_characterization_steady(seed=args.seed)
+    fitted = fit_power_model(samples)
     fan = fit_fan_power_model(
         [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
     )
-    return samples, fit_power_model(samples), fan
+    return samples, fitted, fan
 
 
 # ----------------------------------------------------------------------

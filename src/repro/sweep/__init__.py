@@ -10,10 +10,9 @@ makes a sweep a *declaration* instead of a hand-rolled loop:
   to a canonical content hash,
 * :mod:`repro.sweep.scenarios` — the runner registry mapping spec
   kinds (``experiment``, ``lut_vs_default``, ``fleet``, ``facility``)
-  onto the existing engines, with per-process memoization of expensive
-  artifacts (LUT characterizations, model fits); its
-  :func:`build_run` is the one place a fleet or facility run is built
-  from a parameter mapping, for the sweep and the CLI alike,
+  onto the existing engines through :func:`build_run`, with
+  per-process memoization of expensive artifacts (LUT
+  characterizations, model fits),
 * :mod:`repro.sweep.executor` — :func:`run_sweep`: cache resolution,
   a ``multiprocessing`` fan-out, deterministic row ordering, progress
   logging,

@@ -9,10 +9,10 @@ invocations.  The canonical location is ``benchmarks/results/cache/``
 Entries carry the schema version; bumping
 :data:`repro.sweep.spec.CACHE_SCHEMA_VERSION` (done whenever the row
 a runner produces changes, in shape or in value) invalidates every
-older entry without touching the files.  Note the hash covers the scenario *inputs* — a
-change to the simulation physics itself does not change keys, so
-delete the cache directory (or pass ``--no-cache``) after modifying
-model code.
+older entry without touching the files.  Note the hash covers the
+scenario *inputs* — a change to the simulation physics itself does
+not change keys, so delete the cache directory (or pass
+``--no-cache``) after modifying model code.
 """
 
 from __future__ import annotations

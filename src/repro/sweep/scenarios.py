@@ -285,7 +285,7 @@ def _fitted_models(samples):
 
 
 def _mpc_models(params: Mapping[str, Any], spec):
-    """Given ``samples``, or a (memoized) characterization of *spec*."""
+    """The MPC's models: fitted to ``samples``, else to *spec*'s own."""
     samples = params.get("samples")
     if samples is not None:
         return _fitted_models(list(samples))

@@ -536,17 +536,29 @@ class TestBuildRun:
         assert row["carbon_kg"] == 0.0
         assert row["pue"] == 1.0
 
-    def test_mpc_samples_equal_a_characterization_at_that_seed(
+    def test_mpc_fits_the_given_samples(
         self, characterization_samples, short_profile
     ):
         # the session samples are the steady characterization at seed 7
-        base = {"controller": "mpc", "profile": short_profile}
+        base = {
+            "controller": "mpc",
+            "profile": short_profile,
+            "characterization_seed": 7,
+        }
+        characterized = run_scenario(ScenarioSpec("experiment", base))
         given = run_scenario(
             ScenarioSpec(
                 "experiment", dict(base, samples=characterization_samples)
             )
         )
-        characterized = run_scenario(
-            ScenarioSpec("experiment", dict(base, characterization_seed=7))
-        )
         assert given == characterized
+        hotter = [
+            dataclasses.replace(
+                s, avg_cpu_temperature_c=s.avg_cpu_temperature_c + 10.0
+            )
+            for s in characterization_samples
+        ]
+        shifted = run_scenario(
+            ScenarioSpec("experiment", dict(base, samples=hotter))
+        )
+        assert shifted != characterized
