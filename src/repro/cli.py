@@ -222,7 +222,7 @@ def _run_params(kind: str, args) -> Dict[str, Any]:
 
 
 def _or_exit(build: Callable[[], Any]) -> Any:
-    """Call *build*; bad input (a ValueError) ends the command with its message."""
+    """Call *build*; a ValueError ends the command with its message."""
     try:
         return build()
     except ValueError as exc:
@@ -322,7 +322,8 @@ def cmd_fleet(args) -> int:
 
     engine = _or_exit(build)
     fleet = engine.fleet
-    faults = engine.faults
+    # the sweep reads an empty fault file as no faults; still report it
+    faults = (engine.faults or ()) if args.faults is not None else None
     try:
         result = engine.run(dt_s=args.dt_s, resume_from=args.resume)
     except RunInterrupted as exc:
@@ -796,7 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser(
-        "fleet", parents=[_fleet_flags()], help="run a multi-server fleet scenario"
+        "fleet",
+        parents=[_fleet_flags()],
+        help="run a multi-server fleet scenario",
     )
     p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
     p.add_argument(

@@ -127,21 +127,24 @@ def _memoized(tag: str, key_value: Any, build: Callable[[], Any]) -> Any:
 # ----------------------------------------------------------------------
 # the parameter sets
 # ----------------------------------------------------------------------
-#: Controller-selection parameters shared by the built-in kinds.
-_CONTROLLER_PARAMS = frozenset(
+#: Where the LUT comes from: given, ladder-rebuilt, or characterized.
+_LUT_PARAMS = frozenset(
     {
-        "controller",
-        "rpm",
-        "thresholds",
-        "pi_target_c",
         "lut",
-        "lut_lockout_s",
         "lut_candidates_rpm",
         "lut_max_temperature_c",
         "characterization_seed",
-        "samples",
     }
 )
+#: Controller-selection parameters shared by the built-in kinds.
+_CONTROLLER_PARAMS = _LUT_PARAMS | {
+    "controller",
+    "rpm",
+    "thresholds",
+    "pi_target_c",
+    "lut_lockout_s",
+    "samples",
+}
 #: Server-spec derivation parameters (scaling applied by _derived_spec).
 _SPEC_PARAMS = frozenset({"spec", "leakage_factor", "noise_factor"})
 #: Workload-profile resolution parameters.
@@ -162,15 +165,8 @@ _FLEET_PARAMS = _CONTROLLER_PARAMS | _SPEC_PARAMS | {
 KIND_PARAMS: Dict[str, frozenset] = {
     "experiment": _CONTROLLER_PARAMS | _SPEC_PARAMS | _PROFILE_PARAMS
     | {"ambient_c", "seed"},
-    "lut_vs_default": _SPEC_PARAMS | _PROFILE_PARAMS
-    | {
-        "lut",
-        "lut_candidates_rpm",
-        "lut_max_temperature_c",
-        "characterization_seed",
-        "ambient_c",
-        "seed",
-    },
+    "lut_vs_default": _SPEC_PARAMS | _PROFILE_PARAMS | _LUT_PARAMS
+    | {"ambient_c", "seed"},
     "fleet": _FLEET_PARAMS | {"workload", "shards", "faults"},
     "facility": _FLEET_PARAMS
     | {
@@ -484,7 +480,7 @@ def build_run(
     Bad input raises :class:`ValueError`.
     """
     if kind not in ("fleet", "facility"):
-        raise ValueError(f"build_run builds fleet or facility runs, not {kind!r}")
+        raise ValueError(f"build_run builds fleet or facility, not {kind!r}")
     unknown = sorted(set(engine_options) - ENGINE_OPTIONS)
     if unknown:
         raise TypeError(f"unknown engine option(s) {unknown}")
@@ -521,16 +517,14 @@ def build_run(
             mean_work_pct_s=float(params.get("mean_work_pct_s", 30000.0)),
             deadline_slack=float(params.get("deadline_slack", 4.0)),
         )
+    # sharded-only knob: an int or explicit shard sizes; enters the cache
+    # hash like every other param, so sharded rows never collide with
+    # vector rows.
     shards = params.get("shards")
-    if shards is not None:
-        # sharded-only knob: an int or explicit shard sizes; enters the
-        # cache hash like every other param, so sharded rows never
-        # collide with vector rows.
-        engine_options["shards"] = (
-            tuple(int(s) for s in shards)
-            if isinstance(shards, (list, tuple))
-            else int(shards)
-        )
+    if isinstance(shards, (list, tuple)):
+        shards = tuple(int(s) for s in shards)
+    elif shards is not None:
+        shards = int(shards)
     engine = FleetEngine(
         fleet,
         workload,
@@ -539,6 +533,7 @@ def build_run(
         backend=str(params.get("backend", "vector")),
         seed=seed,
         faults=FaultSchedule.resolve(params.get("faults")),
+        shards=shards,
         **engine_options,
     )
     if kind == "fleet":

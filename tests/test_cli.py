@@ -216,6 +216,14 @@ class TestFleet:
         assert "degraded operation" in out
         assert "respilled" in out
 
+    def test_empty_fault_spec_reports_zero_events(self, tmp_path, capsys):
+        spec = tmp_path / "faults.json"
+        spec.write_text("[]")
+        argv = ["fleet", "--racks", "1", "--servers-per-rack", "1"]
+        argv += ["--hours", "0.25", "--controller", "pi", "--faults", str(spec)]
+        assert main(argv) == 0
+        assert "faults     : 0 events" in capsys.readouterr().out
+
     def test_bad_fault_spec_rejected(self, tmp_path):
         spec = tmp_path / "faults.json"
         spec.write_text('[{"kind": "meteor"}]')
