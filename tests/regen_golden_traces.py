@@ -429,7 +429,10 @@ def read_run_rows(path: Path) -> Dict[str, Dict]:
 def main(names: Sequence[str] = ()) -> int:
     """Rebuild the named golden files (default: all) under ``tests/golden/``."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    wanted = set(names) or set(GOLDEN_BUILDERS) | {RUN_ROWS_FILE}
+    known = set(GOLDEN_BUILDERS) | {RUN_ROWS_FILE}
+    wanted = set(names) or known
+    if wanted - known:
+        raise SystemExit(f"unknown golden file(s): {sorted(wanted - known)}")
     for name, builder in GOLDEN_BUILDERS.items():
         if name not in wanted:
             continue
