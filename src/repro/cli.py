@@ -49,11 +49,7 @@ from repro.experiments.report import (
     render_table1,
 )
 from repro.experiments.runner import ExperimentConfig
-from repro.models.fitting import (
-    CharacterizationSample,
-    fit_fan_power_model,
-    fit_power_model,
-)
+from repro.models.fitting import CharacterizationSample, fit_models
 from repro.fleet import PLACEMENT_POLICIES, FaultSchedule
 from repro.reporting import ascii_chart, format_table, sparkline
 from repro.sweep import (
@@ -119,11 +115,7 @@ def _fitted_samples(args):
         samples = _read_samples(Path(args.samples))
     else:
         samples = run_characterization_steady(seed=args.seed)
-    fitted = fit_power_model(samples)
-    fan = fit_fan_power_model(
-        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-    )
-    return samples, fitted, fan
+    return (samples, *fit_models(samples))
 
 
 # ----------------------------------------------------------------------

@@ -266,7 +266,7 @@ class FleetSlice:
             self.rpm_command[li] = self._validated_command(
                 li, initial if initial is not None else float(rpm[li])
             )
-        max_junction_c, leakage_w = physics.initial_views_data()
+        max_junction_c, leakage_w = physics.initial_summary()
         self._max_junction[:] = max_junction_c
         self._leakage[:] = leakage_w
         self._slope[:] = physics.leakage_slope_w_per_c()

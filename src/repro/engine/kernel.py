@@ -1034,7 +1034,7 @@ class FleetVectorKernel:
 
         Returns ``(air_capacity_w_per_k, leakage_w)`` — the stream heat
         capacity (for the exhaust-rise recirculation step) and the
-        per-server leakage (for scheduler views).
+        per-server leakage (for the placement arrays).
         """
         rpm = self.rpm
         derived = self._rpm_derived
@@ -1123,6 +1123,6 @@ class FleetVectorKernel:
             self._metric_steps.inc()
         return capacity, leakage_w
 
-    def initial_views_data(self):
+    def initial_summary(self):
         """``(max_junction_c, leakage_w)`` before the first tick."""
         return self.t_j.max(axis=1), self._leakage(self.t_j).sum(axis=1)

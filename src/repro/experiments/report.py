@@ -24,7 +24,7 @@ from repro.experiments.characterization import (
 )
 from repro.experiments.metrics import ExperimentMetrics, net_savings_pct
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
-from repro.models.fitting import fit_fan_power_model, fit_power_model
+from repro.models.fitting import fit_models
 from repro.models.steady_state import steady_state_map
 from repro.server.specs import ServerSpec, default_server_spec
 from repro.workloads.profile import UtilizationProfile
@@ -43,10 +43,7 @@ def build_paper_lut(
     """
     spec = spec if spec is not None else default_server_spec()
     samples = run_characterization_steady(spec=spec, seed=seed)
-    fitted = fit_power_model(samples)
-    fan_model = fit_fan_power_model(
-        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-    )
+    fitted, fan_model = fit_models(samples)
     lut, _ = build_lut_from_characterization(
         samples,
         fitted_model=fitted,

@@ -48,15 +48,12 @@ from repro.fleet.scheduler import (
     PlacementPolicy,
     RoundRobinPolicy,
     SchedulingDecision,
-    ServerLoadView,
 )
 from repro.fleet.topology import (
     Fleet,
     Rack,
-    RecirculationAmbient,
     build_recirculation_matrix,
     build_uniform_fleet,
-    exhaust_temperature_rise_c,
 )
 
 __all__ = [
@@ -83,11 +80,8 @@ __all__ = [
     "PlacementPolicy",
     "RoundRobinPolicy",
     "SchedulingDecision",
-    "ServerLoadView",
     "Fleet",
     "Rack",
-    "RecirculationAmbient",
     "build_recirculation_matrix",
     "build_uniform_fleet",
-    "exhaust_temperature_rise_c",
 ]

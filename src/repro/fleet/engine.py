@@ -21,11 +21,10 @@ Three backends are available:
 * ``vector`` (default) — one slice over ``[0, N)`` whose physics is the
   :class:`~repro.engine.kernel.FleetVectorKernel`: persistent
   ``(N, ·)`` state arrays feed the placement policy directly
-  (:meth:`~repro.fleet.scheduler.PlacementPolicy.order_indices`),
-  per-tick inputs are precomputed for the whole horizon, and the
-  batched physics writes straight into the preallocated in-RAM trace
-  block.  Custom view-based policies transparently fall back to
-  per-tick :class:`ServerLoadView` construction.
+  (:meth:`~repro.fleet.scheduler.PlacementPolicy.order_indices`, the
+  one placement interface on every backend), per-tick inputs are
+  precomputed for the whole horizon, and the batched physics writes
+  straight into the preallocated in-RAM trace block.
 * ``reference`` — the same loop and slice with one real
   :class:`ServerSimulator` per server behind the kernel's physics
   interface: the physics oracle the batched math is tested against,
@@ -192,7 +191,7 @@ class _ReferenceBackend:
             ]
         )
 
-    def initial_views_data(self):
+    def initial_summary(self):
         """``(max_junction_c, leakage_w)`` before the first tick."""
         return np.array([max(j) for j in self._junctions()]), self._leakage_w()
 

@@ -3,7 +3,8 @@
 Every tick the engine converts the aggregate demand (a
 ``workloads.datacenter`` utilization profile scaled to the whole
 fleet) into per-server utilization targets.  A
-:class:`PlacementPolicy` ranks the servers; the scheduler then fills
+:class:`PlacementPolicy` ranks the servers on the fleet's ``(N,)``
+state arrays (:class:`FleetLoadArrays`); the scheduler then fills
 them greedily in that order, capping each server at 100% and
 reporting any unserved remainder as an SLA violation.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,35 +39,13 @@ from repro.workloads.profile import UtilizationProfile
 SERVER_CAP_PCT = 100.0
 
 
-@dataclass(frozen=True)
-class ServerLoadView:
-    """What a placement policy may observe about one server."""
-
-    index: int
-    rack_index: int
-    #: Executed utilization over the previous tick, percent.
-    utilization_pct: float
-    #: Hottest junction temperature, °C.
-    max_junction_c: float
-    #: Inlet (post-recirculation) air temperature, °C.
-    inlet_c: float
-    #: Instantaneous whole-CPU leakage power, watts.
-    leakage_w: float
-    #: Marginal leakage cost ``dP_leak/dT_j`` summed over sockets, W/°C.
-    leakage_slope_w_per_c: float
-    #: Active p-state during the previous tick (0 = nominal frequency).
-    pstate_index: int = 0
-
-
 class FleetLoadArrays:
-    """Array view of the whole fleet, one element per server.
+    """What a placement policy observes: one ``(N,)`` array per field.
 
-    The kernelized fleet engine keeps per-server state in persistent
-    ``(N,)`` arrays; policies that implement
-    :meth:`PlacementPolicy.order_indices` rank directly on them instead
-    of having the engine materialize N :class:`ServerLoadView` objects
-    every tick (the pre-kernel hot spot).  The arrays are the tick
-    loop's live summary rows: do not hold the object across ticks.
+    Element *i* of every array describes server *i* (flat rack-major
+    index).  The tick loop builds one bundle per tick around its live
+    summary rows, so a policy may read the arrays but must not modify
+    them or hold the bundle across ticks.
     """
 
     __slots__ = (
@@ -104,26 +83,16 @@ class FleetLoadArrays:
         #: Marginal leakage cost ``dP_leak/dT_j`` per server, W/°C.
         self.leakage_slope_w_per_c = leakage_slope_w_per_c
 
-    def views(self) -> List[ServerLoadView]:
-        """One :class:`ServerLoadView` per server, for view policies."""
-        slope = self.leakage_slope_w_per_c
-        return [
-            ServerLoadView(
-                index=i,
-                rack_index=int(self.rack_index[i]),
-                utilization_pct=float(self.utilization_pct[i]),
-                max_junction_c=float(self.max_junction_c[i]),
-                inlet_c=float(self.inlet_c[i]),
-                leakage_w=float(self.leakage_w[i]),
-                leakage_slope_w_per_c=float(slope[i]),
-                pstate_index=int(self.pstate_index[i]),
-            )
-            for i in range(len(self.utilization_pct))
-        ]
-
 
 class PlacementPolicy(ABC):
-    """Ranks servers; earlier in the order means filled first."""
+    """Ranks servers; earlier in the order means filled first.
+
+    :meth:`order_indices` is the one method a policy defines.  Rank on
+    the :class:`FleetLoadArrays` fields: one key is
+    ``np.argsort(arrays.<field>, kind="stable")`` (negate the field for
+    descending order), several keys are ``np.lexsort`` with the primary
+    key last.  Both keep ties in server-index order.
+    """
 
     name = "policy"
 
@@ -131,19 +100,12 @@ class PlacementPolicy(ABC):
         """Clear internal state between runs."""
 
     @abstractmethod
-    def order(self, views: Sequence[ServerLoadView]) -> Sequence[int]:
-        """Return all server indices, highest placement priority first."""
+    def order_indices(self, arrays: FleetLoadArrays) -> np.ndarray:
+        """Every server index exactly once, highest priority first.
 
-    def order_indices(self, arrays: FleetLoadArrays):
-        """Array-based ranking; ``None`` falls back to :meth:`order`.
-
-        Implementations must produce exactly the permutation
-        :meth:`order` would return for view objects built from the
-        same arrays (the engine's bit-identical trace contract rides
-        on it).  The default opts out, so custom view-based policies
-        keep working unchanged.
+        :meth:`FleetScheduler.place` refuses any other result with a
+        ``ValueError``.
         """
-        return None
 
 
 class RoundRobinPolicy(PlacementPolicy):
@@ -155,16 +117,11 @@ class RoundRobinPolicy(PlacementPolicy):
         self._start = 0
 
     def reset(self) -> None:
+        """Start the next run's rotation at server 0."""
         self._start = 0
 
-    def order(self, views: Sequence[ServerLoadView]) -> Sequence[int]:
-        n = len(views)
-        start = self._start % n
-        self._start += 1
-        return [views[(start + k) % n].index for k in range(n)]
-
     def order_indices(self, arrays: FleetLoadArrays) -> np.ndarray:
-        """The same rotation, sharing the tick counter with `order`."""
+        """Servers from this tick's start index on, wrapping around."""
         n = len(arrays.utilization_pct)
         start = self._start % n
         self._start += 1
@@ -176,12 +133,8 @@ class LeastUtilizedPolicy(PlacementPolicy):
 
     name = "least-utilized"
 
-    def order(self, views: Sequence[ServerLoadView]) -> Sequence[int]:
-        utils = np.array([v.utilization_pct for v in views])
-        return [views[i].index for i in np.argsort(utils, kind="stable")]
-
     def order_indices(self, arrays: FleetLoadArrays) -> np.ndarray:
-        """Stable argsort on the persistent utilization array."""
+        """Ascending executed utilization, ties by server index."""
         return np.argsort(arrays.utilization_pct, kind="stable")
 
 
@@ -190,12 +143,8 @@ class CoolestFirstPolicy(PlacementPolicy):
 
     name = "coolest-first"
 
-    def order(self, views: Sequence[ServerLoadView]) -> Sequence[int]:
-        temps = np.array([v.max_junction_c for v in views])
-        return [views[i].index for i in np.argsort(temps, kind="stable")]
-
     def order_indices(self, arrays: FleetLoadArrays) -> np.ndarray:
-        """Stable argsort on the persistent junction array."""
+        """Ascending hottest junction, ties by server index."""
         return np.argsort(arrays.max_junction_c, kind="stable")
 
 
@@ -210,13 +159,8 @@ class LeakageAwarePolicy(PlacementPolicy):
 
     name = "leakage-aware"
 
-    def order(self, views: Sequence[ServerLoadView]) -> Sequence[int]:
-        slopes = np.array([v.leakage_slope_w_per_c for v in views])
-        inlets = np.array([v.inlet_c for v in views])
-        return [views[i].index for i in np.lexsort((inlets, slopes))]
-
     def order_indices(self, arrays: FleetLoadArrays) -> np.ndarray:
-        """The same slope-then-inlet lexsort, array-direct."""
+        """Ascending leakage slope, then ascending inlet."""
         return np.lexsort((arrays.inlet_c, arrays.leakage_slope_w_per_c))
 
 
@@ -237,13 +181,8 @@ class DvfsAwarePolicy(PlacementPolicy):
 
     name = "dvfs-aware"
 
-    def order(self, views: Sequence[ServerLoadView]) -> Sequence[int]:
-        pstates = np.array([v.pstate_index for v in views])
-        utils = np.array([v.utilization_pct for v in views])
-        return [views[i].index for i in np.lexsort((-utils, pstates))]
-
     def order_indices(self, arrays: FleetLoadArrays) -> np.ndarray:
-        """The same p-state-then-utilization lexsort, array-direct."""
+        """Ascending p-state, then descending utilization."""
         return np.lexsort((-arrays.utilization_pct, arrays.pstate_index))
 
 
@@ -267,6 +206,16 @@ class SchedulingDecision:
     allocations_pct: np.ndarray
     #: Demand that did not fit anywhere, in single-server percent units.
     unserved_pct: float
+
+
+def _ranks_each_once(order: np.ndarray, n: int) -> bool:
+    """Whether *order* holds each of ``range(n)`` exactly once, in O(N)."""
+    if order.shape != (n,) or order.dtype.kind not in "iu":
+        return False
+    if n and order.min() < 0:
+        return False
+    # n values leave no bin of range(n) empty only if they are that range
+    return bool(np.bincount(order, minlength=n).all())
 
 
 class FleetScheduler:
@@ -299,71 +248,6 @@ class FleetScheduler:
         """Clear policy state between runs."""
         self.policy.reset()
 
-    def _fill(
-        self, order, server_count: int, total_demand_pct: float
-    ) -> SchedulingDecision:
-        """The greedy Python fill along *order* (may skip servers)."""
-        allocations = np.zeros(server_count)
-        remaining = float(total_demand_pct)
-        for index in order:
-            if remaining <= 0.0:
-                break
-            share = min(self.server_cap_pct, remaining)
-            allocations[index] = share
-            remaining -= share
-        return SchedulingDecision(
-            allocations_pct=allocations, unserved_pct=max(0.0, remaining)
-        )
-
-    def _ordered(self, views: Sequence[ServerLoadView]) -> List[int]:
-        """The policy's validated fill order for *views*."""
-        if not views:
-            raise ValueError("need at least one server view")
-        order = list(self.policy.order(views))
-        if sorted(order) != list(range(len(views))):
-            raise ValueError(
-                f"policy {self.policy.name!r} returned an invalid order"
-            )
-        return order
-
-    def assign(
-        self, views: Sequence[ServerLoadView], total_demand_pct: float
-    ) -> SchedulingDecision:
-        """Split *total_demand_pct* (single-server % units) across servers.
-
-        For degraded fleets (down servers excluded from the fill) use
-        :meth:`assign_with_spill`, which also produces the healthy
-        counterfactual the fault metrics need.
-        """
-        validate_non_negative(total_demand_pct, "total_demand_pct")
-        return self._fill(self._ordered(views), len(views), total_demand_pct)
-
-    def assign_with_spill(
-        self,
-        views: Sequence[ServerLoadView],
-        total_demand_pct: float,
-        available: np.ndarray,
-    ) -> Tuple[SchedulingDecision, SchedulingDecision]:
-        """One degraded fill plus its all-servers-up counterfactual.
-
-        The policy is ranked **once** (stateful policies like
-        round-robin must advance exactly one tick); the same order is
-        then filled twice — restricted to *available* servers, and
-        unrestricted.  The pair lets the engine attribute lost work to
-        the outage: counterfactual allocations landing on down servers
-        are the respilled work, and any unserved demand beyond the
-        counterfactual's is fault-attributable SLA loss.
-        """
-        validate_non_negative(total_demand_pct, "total_demand_pct")
-        order = self._ordered(views)
-        counterfactual = self._fill(order, len(views), total_demand_pct)
-        degraded = self._fill(
-            [index for index in order if available[index]],
-            len(views),
-            total_demand_pct,
-        )
-        return degraded, counterfactual
-
     def place(
         self,
         arrays: FleetLoadArrays,
@@ -372,33 +256,29 @@ class FleetScheduler:
     ) -> Tuple[SchedulingDecision, float, float]:
         """One tick's placement: ``(decision, respilled, fault_unserved)``.
 
-        Ranks with :meth:`PlacementPolicy.order_indices` and fills with
-        :meth:`assign_indexed`; policies without an array ranking fall
-        back to views and :meth:`assign`.  On an outage tick (*outage*
-        marks the down servers) the degraded fill comes with its
-        all-servers-up counterfactual along the same single ranking
-        (see :meth:`assign_with_spill`): the counterfactual work that
-        landed on down servers is the respilled work, and unserved
-        demand beyond the counterfactual's is fault-attributable.
-        Both attribution terms are 0.0 on other ticks.
+        Ranks **once** with :meth:`PlacementPolicy.order_indices`
+        (stateful policies advance exactly one tick), refuses a ranking
+        that does not hold each server index exactly once, and fills
+        with :meth:`assign_indexed`.  On an outage tick (*outage* marks
+        the down servers) the ranking is filled twice: over the up
+        servers (the decision) and over all of them (the
+        counterfactual).  Counterfactual work on down servers is the
+        respilled work, and unserved demand beyond the counterfactual's
+        is fault-attributable.  Both terms are 0.0 on other ticks.
         """
-        order = self.policy.order_indices(arrays)
-        if order is None:
-            views = arrays.views()
-            if outage is None:
-                return self.assign(views, total_demand_pct), 0.0, 0.0
-            decision, counterfactual = self.assign_with_spill(
-                views, total_demand_pct, ~outage
+        n = len(arrays.utilization_pct)
+        order = np.asarray(self.policy.order_indices(arrays))
+        if not _ranks_each_once(order, n):
+            raise ValueError(
+                f"policy {self.policy.name!r} returned an invalid ranking: "
+                f"it must hold each server index in range({n}) exactly once"
             )
-        else:
-            n = len(arrays.utilization_pct)
-            if outage is None:
-                return self.assign_indexed(order, n, total_demand_pct), 0.0, 0.0
-            order = np.asarray(order)
-            counterfactual = self.assign_indexed(order, n, total_demand_pct)
-            decision = self.assign_indexed(
-                order[~outage[order]], n, total_demand_pct
-            )
+        if outage is None:
+            return self.assign_indexed(order, n, total_demand_pct), 0.0, 0.0
+        counterfactual = self.assign_indexed(order, n, total_demand_pct)
+        decision = self.assign_indexed(
+            order[~outage[order]], n, total_demand_pct
+        )
         respilled = float(counterfactual.allocations_pct[outage].sum())
         fault_unserved = max(
             0.0, decision.unserved_pct - counterfactual.unserved_pct
@@ -408,18 +288,16 @@ class FleetScheduler:
     def assign_indexed(
         self, order: np.ndarray, server_count: int, total_demand_pct: float
     ) -> SchedulingDecision:
-        """Greedy fill along a trusted pre-ranked *order*, vectorized.
+        """Greedy fill along a pre-ranked *order*, vectorized.
 
-        Fast path for policies providing
-        :meth:`PlacementPolicy.order_indices`: skips the view
-        materialization and the O(N log N) permutation validation of
-        :meth:`assign` and replaces the per-server Python fill loop
-        with ``np.subtract.accumulate`` — which subtracts strictly
-        sequentially, reproducing the loop's ``remaining`` sequence
-        (and therefore the partial final share and the unserved
-        remainder) bit for bit.  *order* may rank only a subset of the
-        servers (the fault path filters out outage servers); the rest
-        keep zero allocation.
+        Fills the servers of *order* one after another, each up to the
+        cap, until the demand runs out.  ``np.subtract.accumulate``
+        subtracts strictly sequentially, so the remaining-demand
+        sequence (and therefore the partial final share and the
+        unserved remainder) equals a per-server Python loop's bit for
+        bit.  *order* may rank only a subset of the servers (the outage
+        fill skips the down ones); the rest keep zero allocation.  The
+        caller validates *order*, as :meth:`place` does.
         """
         validate_non_negative(total_demand_pct, "total_demand_pct")
         allocations = np.zeros(server_count)
@@ -494,16 +372,3 @@ class FleetWorkload:
         100% × *server_count* is the whole fleet flat out.
         """
         return self.profile.utilization_pct(time_s) * self.server_count
-
-    def split(
-        self,
-        scheduler: FleetScheduler,
-        views: Sequence[ServerLoadView],
-        time_s: float,
-    ) -> SchedulingDecision:
-        """Convenience: demand at *time_s* pushed through *scheduler*."""
-        if len(views) != self.server_count:
-            raise ValueError(
-                f"expected {self.server_count} views, got {len(views)}"
-            )
-        return scheduler.assign(views, self.total_demand_pct(time_s))

@@ -10,14 +10,13 @@ supplies the missing physical context:
   matrix** ``K`` whose entry ``K[i, j]`` is the fraction of server
   *j*'s exhaust temperature rise that re-enters server *i*'s inlet —
   the coupling that makes data-center inlets warmer than the CRAC
-  supply (hot-aisle bypass, top-of-rack recirculation),
-* :class:`RecirculationAmbient` wraps a CRAC supply model with a
-  mutable recirculation offset, so an unmodified
-  :class:`~repro.server.server.ServerSimulator` sees a coupled inlet
-  through its ordinary ambient interface.
+  supply (hot-aisle bypass, top-of-rack recirculation).
 
-With ``K = 0`` and a constant supply, every server sees exactly the
-paper's isolated-room conditions.
+Each tick the fleet engine sets the inlets to the CRAC supply plus
+``K @ rise``, the recirculated exhaust rises
+(:meth:`repro.engine.control.TickInputs.inlet`).  With ``K = 0`` and a
+constant supply, every server sees exactly the paper's isolated-room
+conditions.
 """
 
 from __future__ import annotations
@@ -29,54 +28,7 @@ import numpy as np
 
 from repro.server.ambient import AmbientModel, ConstantAmbient
 from repro.server.specs import ServerSpec, default_server_spec
-from repro.units import airflow_heat_capacity_w_per_k, validate_temperature_c
-
-
-class RecirculationAmbient(AmbientModel):
-    """A CRAC supply model plus a mutable recirculation offset.
-
-    The caller recomputes the offset every tick from the coupled
-    servers' exhaust heat; with the offset at zero this is exactly the
-    wrapped supply model (an isolated server).
-    """
-
-    def __init__(self, supply: AmbientModel):
-        self.supply = supply
-        self._offset_c = 0.0
-
-    @property
-    def offset_c(self) -> float:
-        """Current recirculation-induced inlet temperature rise, °C."""
-        return self._offset_c
-
-    def set_offset(self, offset_c: float) -> None:
-        """Install the recirculation rise for the next simulation step."""
-        if not np.isfinite(offset_c) or offset_c < 0.0:
-            raise ValueError(
-                f"recirculation offset must be finite and non-negative, "
-                f"got {offset_c!r}"
-            )
-        self._offset_c = float(offset_c)
-
-    def temperature_c(self, time_s: float) -> float:
-        return self.supply.temperature_c(time_s) + self._offset_c
-
-
-def exhaust_temperature_rise_c(power_w, airflow_cfm):
-    """Temperature rise of the air stream crossing a server, °C.
-
-    ``ΔT = P / (m_dot · c_p)`` — array-friendly so the engine can
-    evaluate the whole fleet at once.
-    """
-    airflow = np.asarray(airflow_cfm, dtype=float)
-    if np.any(airflow <= 0.0):
-        raise ValueError("airflow must be positive to carry exhaust heat")
-    result = np.asarray(power_w, dtype=float) / airflow_heat_capacity_w_per_k(
-        airflow
-    )
-    if np.ndim(power_w) == 0 and np.ndim(airflow_cfm) == 0:
-        return float(result)
-    return result
+from repro.units import validate_temperature_c
 
 
 @dataclass(frozen=True)
@@ -181,13 +133,6 @@ class Fleet:
             start += rack.server_count
         return slices
 
-    def recirculation_matrix(self) -> np.ndarray:
-        """The coupling matrix (zeros when the fleet is uncoupled)."""
-        if self.recirculation is None:
-            n = self.server_count
-            return np.zeros((n, n))
-        return self.recirculation
-
     def supply_models(self) -> List[AmbientModel]:
         """One CRAC supply model per server, flat index order."""
         return [
@@ -204,20 +149,6 @@ class Fleet:
                 for rack in self.racks
                 for _ in range(rack.server_count)
             ]
-        )
-
-    def inlet_temperatures_c(
-        self, time_s: float, exhaust_rise_c: Sequence[float]
-    ) -> np.ndarray:
-        """Per-server inlet: CRAC supply plus recirculated exhaust."""
-        rise = np.asarray(exhaust_rise_c, dtype=float)
-        if rise.shape != (self.server_count,):
-            raise ValueError(
-                f"need one exhaust rise per server ({self.server_count}), "
-                f"got shape {rise.shape}"
-            )
-        return self.supply_temperatures_c(time_s) + (
-            self.recirculation_matrix() @ rise
         )
 
 

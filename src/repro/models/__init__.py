@@ -13,6 +13,7 @@ from repro.models.fitting import (
     FittedPowerModel,
     FitQuality,
     fit_fan_power_model,
+    fit_models,
     fit_power_model,
 )
 from repro.models.leakage import ActivePowerModel, FanPowerModel, LeakageModel
@@ -44,6 +45,7 @@ __all__ = [
     "FittedPowerModel",
     "FitQuality",
     "fit_fan_power_model",
+    "fit_models",
     "fit_power_model",
     "SteadyStatePoint",
     "steady_state_map",

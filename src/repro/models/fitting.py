@@ -184,3 +184,14 @@ def fit_fan_power_model(
         exponent=float(exponent),
         rpm_ref=rpm_ref,
     )
+
+
+def fit_models(
+    samples: Sequence[CharacterizationSample],
+) -> Tuple[FittedPowerModel, FanPowerModel]:
+    """Both fits of *samples*: ``(fit_power_model, fit_fan_power_model)``."""
+    fitted = fit_power_model(samples)
+    fan = fit_fan_power_model(
+        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
+    )
+    return fitted, fan

@@ -67,7 +67,7 @@ from repro.fleet.engine import FleetEngine
 from repro.fleet.faults import FaultSchedule
 from repro.fleet.scheduler import PLACEMENT_POLICIES, FleetScheduler
 from repro.fleet.topology import build_uniform_fleet
-from repro.models.fitting import fit_fan_power_model, fit_power_model
+from repro.models.fitting import fit_models
 from repro.server.ambient import ConstantAmbient
 from repro.server.dvfs import default_dvfs_ladder
 from repro.server.specs import default_server_spec
@@ -272,12 +272,8 @@ def _resolve_lut(params: Mapping[str, Any], spec):
 
 
 def _fitted_models(samples):
-    """The power and fan models the MPC needs, fitted to *samples*."""
-    fitted = fit_power_model(samples)
-    fan = fit_fan_power_model(
-        [s.fan_rpm for s in samples], [s.fan_power_w for s in samples]
-    )
-    return samples, fitted, fan
+    """*samples* plus the power and fan models the MPC fits to them."""
+    return (samples, *fit_models(samples))
 
 
 def _mpc_models(params: Mapping[str, Any], spec):

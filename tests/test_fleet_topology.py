@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.engine.control import TickInputs
+from repro.fleet.faults import CracExcursionEvent, FaultSchedule
+from repro.fleet.scheduler import FleetWorkload
 from repro.fleet.topology import (
     Fleet,
     Rack,
-    RecirculationAmbient,
     build_recirculation_matrix,
     build_uniform_fleet,
-    exhaust_temperature_rise_c,
 )
-from repro.server.ambient import ConstantAmbient, SinusoidalAmbient
+from repro.server.ambient import SinusoidalAmbient
 from repro.server.specs import default_server_spec
+from repro.workloads.profile import ConstantProfile
 
 
 def make_rack(name="r0", servers=2, supply_c=24.0, crac=None):
@@ -23,6 +25,12 @@ def make_rack(name="r0", servers=2, supply_c=24.0, crac=None):
         crac_supply_c=supply_c,
         crac=crac,
     )
+
+
+def tick_inputs(fleet, plan=None, steps=1, dt_s=1.0):
+    """The engine's tick prologue for *fleet* under a constant demand."""
+    workload = FleetWorkload(ConstantProfile(50.0, 600.0), fleet.server_count)
+    return TickInputs(fleet, workload, plan, steps, dt_s)
 
 
 class TestRack:
@@ -87,9 +95,9 @@ class TestFleet:
     def test_inlets_add_recirculated_exhaust(self):
         matrix = np.array([[0.0, 0.5], [0.25, 0.0]])
         fleet = Fleet(racks=(make_rack(servers=2),), recirculation=matrix)
-        inlets = fleet.inlet_temperatures_c(0.0, [4.0, 8.0])
+        inlets = tick_inputs(fleet).inlet(0, np.array([4.0, 8.0]))
         # server 0 receives half of server 1's 8 degC rise, and so on.
-        assert inlets == pytest.approx([24.0 + 4.0, 24.0 + 1.0])
+        np.testing.assert_array_equal(inlets, [28.0, 25.0])
 
     def test_equality_comparison_does_not_raise_on_matrix(self):
         # dataclass __eq__ must not compare the ndarray elementwise
@@ -100,53 +108,30 @@ class TestFleet:
 
     def test_uncoupled_fleet_inlets_equal_supply(self):
         fleet = Fleet(racks=(make_rack(servers=2),))
-        inlets = fleet.inlet_temperatures_c(0.0, [5.0, 5.0])
-        assert inlets == pytest.approx([24.0, 24.0])
+        inlets = tick_inputs(fleet).inlet(0, np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(inlets, [24.0, 24.0])
 
-
-class TestRecirculationAmbient:
-    def test_zero_offset_equals_wrapped_model(self):
-        base = ConstantAmbient(24.0)
-        wrapped = RecirculationAmbient(base)
-        for t in (0.0, 100.0, 1e6):
-            assert wrapped.temperature_c(t) == base.temperature_c(t)
-
-    def test_offset_adds_to_time_varying_supply(self):
-        base = SinusoidalAmbient(mean_c=22.0, amplitude_c=2.0, period_s=600.0)
-        wrapped = RecirculationAmbient(base)
-        wrapped.set_offset(1.5)
-        assert wrapped.temperature_c(150.0) == pytest.approx(
-            base.temperature_c(150.0) + 1.5
+    def test_crac_excursion_adds_supply_delta(self):
+        """An excursion on rack 1 over ticks [1, 3) warms that rack's
+        inlets by its delta on exactly those ticks."""
+        fleet = Fleet(
+            racks=(make_rack("a", 1), make_rack("b", 2)),
+            recirculation=np.array(
+                [[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0]]
+            ),
         )
-        assert wrapped.offset_c == 1.5
-
-    def test_negative_offset_rejected(self):
-        wrapped = RecirculationAmbient(ConstantAmbient(24.0))
-        with pytest.raises(ValueError):
-            wrapped.set_offset(-0.1)
-
-    def test_non_finite_offset_rejected(self):
-        wrapped = RecirculationAmbient(ConstantAmbient(24.0))
-        with pytest.raises(ValueError):
-            wrapped.set_offset(float("nan"))
-
-
-class TestExhaustRise:
-    def test_matches_heat_capacity_rate(self):
-        from repro.units import airflow_heat_capacity_w_per_k
-
-        rise = exhaust_temperature_rise_c(660.0, 120.0)
-        assert rise == pytest.approx(660.0 / airflow_heat_capacity_w_per_k(120.0))
-
-    def test_array_evaluation(self):
-        rise = exhaust_temperature_rise_c(
-            np.array([300.0, 600.0]), np.array([100.0, 100.0])
+        excursion = CracExcursionEvent(
+            delta_c=3.0, rack=1, start_s=1.0, end_s=3.0
         )
-        assert rise[1] == pytest.approx(2.0 * rise[0])
-
-    def test_zero_airflow_rejected(self):
-        with pytest.raises(ValueError):
-            exhaust_temperature_rise_c(300.0, 0.0)
+        plan = FaultSchedule(events=(excursion,)).compile(fleet, 4, 1.0)
+        inputs = tick_inputs(fleet, plan, steps=4)
+        rise = np.array([4.0, 8.0, 2.0])
+        coupled = [28.0, 24.0, 25.0]
+        for tick, delta in enumerate([0.0, 3.0, 3.0, 0.0]):
+            np.testing.assert_array_equal(
+                inputs.inlet(tick, rise),
+                np.add(coupled, [0.0, delta, delta]),
+            )
 
 
 class TestBuilders:

@@ -37,10 +37,7 @@ from repro.fleet import (
     build_uniform_fleet,
 )
 from repro.engine.kernel import FleetVectorKernel
-from repro.fleet.scheduler import (
-    PLACEMENT_POLICIES,
-    ServerLoadView,
-)
+from repro.fleet.scheduler import PLACEMENT_POLICIES
 from repro.server.ambient import SinusoidalAmbient
 from repro.server.dvfs import default_dvfs_ladder
 from repro.server.faults import (
@@ -406,16 +403,15 @@ class TestFleetKernelAnchors:
             for obs in logs["reference"]
         )
 
-    def test_custom_view_policy_falls_back_and_matches(self):
-        """A policy without order_indices rides the view-building
-        fallback of the placement step on both backends."""
+    def test_custom_policy_matches_reference(self):
+        """A policy that is not built in places through the same
+        ``order_indices`` path on both backends."""
 
         class HottestFirst(PlacementPolicy):
             name = "hottest-first"
 
-            def order(self, views):
-                temps = np.array([v.max_junction_c for v in views])
-                return [views[i].index for i in np.argsort(-temps, kind="stable")]
+            def order_indices(self, arrays):
+                return np.argsort(-arrays.max_junction_c, kind="stable")
 
         fleet = build_uniform_fleet(rack_count=1, servers_per_rack=4)
         assert_fleet_matches_reference(
@@ -430,48 +426,70 @@ class TestFleetKernelAnchors:
         )
 
 
+def oracle_order(policy_name, arrays, tick):
+    """Built-in policy *policy_name*'s ranking on its *tick*-th call.
+
+    The tests-side placement oracle: each policy as one plain
+    ``sorted(range(n), key=...)`` (a stable sort, so ties keep server
+    index order), independent of the numpy rankings in ``src``.
+    """
+    n = len(arrays.utilization_pct)
+    keys = {
+        "round-robin": lambda i: (i - tick) % n,
+        "least-utilized": lambda i: arrays.utilization_pct[i],
+        "coolest-first": lambda i: arrays.max_junction_c[i],
+        "leakage-aware": lambda i: (
+            arrays.leakage_slope_w_per_c[i],
+            arrays.inlet_c[i],
+        ),
+        "dvfs-aware": lambda i: (
+            arrays.pstate_index[i],
+            -arrays.utilization_pct[i],
+        ),
+    }
+    return sorted(range(n), key=keys[policy_name])
+
+
+def oracle_assign(order, n, total, cap):
+    """The greedy fill as a per-server loop: ``(allocations, unserved)``."""
+    allocations = np.zeros(n)
+    remaining = float(total)
+    for index in order:
+        if remaining <= 0.0:
+            break
+        share = min(cap, remaining)
+        allocations[index] = share
+        remaining -= share
+    return allocations, max(0.0, remaining)
+
+
 class TestSchedulerFastPath:
-    """Array-based scheduling reproduces the view path exactly."""
+    """Array-based placement reproduces the tests-side oracle exactly."""
 
     def _random_arrays(self, rng, n):
+        """Random placement inputs whose sort keys are coarse enough to
+        tie, so every tie-break rule (secondary key, then server index)
+        is exercised."""
         return FleetLoadArrays(
-            utilization_pct=rng.uniform(0, 100, n),
-            max_junction_c=rng.uniform(30, 90, n),
-            inlet_c=rng.uniform(18, 32, n),
+            utilization_pct=np.round(rng.uniform(0, 100, n), -1),
+            max_junction_c=np.round(rng.uniform(30, 40, n)),
+            inlet_c=np.round(rng.uniform(18, 24, n)),
             leakage_w=rng.uniform(5, 40, n),
             pstate_index=rng.integers(0, 4, n),
             rack_index=np.repeat(np.arange((n + 1) // 2), 2)[:n],
-            leakage_slope_w_per_c=rng.uniform(0.1, 3.0, n),
+            leakage_slope_w_per_c=np.round(rng.uniform(0.1, 3.0, n)),
         )
-
-    def _views_from(self, arrays):
-        n = len(arrays.utilization_pct)
-        return [
-            ServerLoadView(
-                index=i,
-                rack_index=int(arrays.rack_index[i]),
-                utilization_pct=float(arrays.utilization_pct[i]),
-                max_junction_c=float(arrays.max_junction_c[i]),
-                inlet_c=float(arrays.inlet_c[i]),
-                leakage_w=float(arrays.leakage_w[i]),
-                leakage_slope_w_per_c=float(arrays.leakage_slope_w_per_c[i]),
-                pstate_index=int(arrays.pstate_index[i]),
-            )
-            for i in range(n)
-        ]
 
     @pytest.mark.parametrize("policy_name", sorted(PLACEMENT_POLICIES))
     def test_order_indices_matches_order(self, policy_name):
         rng = np.random.default_rng(42)
         for n in (1, 3, 17):
-            array_policy = PLACEMENT_POLICIES[policy_name]()
-            view_policy = PLACEMENT_POLICIES[policy_name]()
-            for _ in range(5):
+            policy = PLACEMENT_POLICIES[policy_name]()
+            for tick in range(5):
                 arrays = self._random_arrays(rng, n)
-                views = self._views_from(arrays)
                 np.testing.assert_array_equal(
-                    np.asarray(array_policy.order_indices(arrays)),
-                    np.asarray(view_policy.order(views)),
+                    np.asarray(policy.order_indices(arrays)),
+                    oracle_order(policy_name, arrays, tick),
                 )
 
     def test_assign_indexed_matches_assign(self):
@@ -484,61 +502,47 @@ class TestSchedulerFastPath:
             scheduler = FleetScheduler(
                 PLACEMENT_POLICIES["round-robin"](), server_cap_pct=cap
             )
-            views = self._views_from(self._random_arrays(rng, n))
-            by_views = scheduler.assign(
-                views, total
-            )  # validates + python fill; order is policy-driven
-            # repeat the python fill along the random order directly
-            allocations = np.zeros(n)
-            remaining = float(total)
-            for index in order:
-                if remaining <= 0.0:
-                    break
-                share = min(cap, remaining)
-                allocations[index] = share
-                remaining -= share
+            allocations, unserved = oracle_assign(order, n, total, cap)
             fast = scheduler.assign_indexed(order, n, total)
             np.testing.assert_array_equal(fast.allocations_pct, allocations)
-            assert fast.unserved_pct == max(0.0, remaining)
-            # sanity: both paths conserve demand
-            assert by_views.allocations_pct.sum() + by_views.unserved_pct == (
+            assert fast.unserved_pct == unserved
+            assert fast.allocations_pct.sum() + fast.unserved_pct == (
                 pytest.approx(total)
             )
 
     @pytest.mark.parametrize("policy_name", sorted(PLACEMENT_POLICIES))
     def test_place_outage_fill_matches_assign_with_spill(self, policy_name):
-        """Under random outage masks the indexed degraded fill and its
-        all-up counterfactual equal the view path's
-        ``assign_with_spill`` bit for bit, attribution included."""
+        """Under random outage masks ``place`` equals the oracle's spill
+        pair bit for bit, attribution included: one ranking, filled once
+        over the up servers (the decision) and once over all of them
+        (the all-servers-up counterfactual)."""
         rng = np.random.default_rng(2024)
         for cap in (100.0, 73.3):
-            array_scheduler = FleetScheduler(
+            scheduler = FleetScheduler(
                 PLACEMENT_POLICIES[policy_name](), server_cap_pct=cap
             )
-            view_scheduler = FleetScheduler(
-                PLACEMENT_POLICIES[policy_name](), server_cap_pct=cap
-            )
-            for _ in range(40):
+            for tick in range(40):
                 n = int(rng.integers(1, 25))
                 arrays = self._random_arrays(rng, n)
-                views = self._views_from(arrays)
                 out = rng.random(n) < rng.uniform(0.0, 0.8)
                 total = float(rng.uniform(0.0, 1.2 * n * cap))
-                decision, respilled, fault_unserved = array_scheduler.place(
+                decision, respilled, fault_unserved = scheduler.place(
                     arrays, total, out
                 )
-                degraded, counterfactual = view_scheduler.assign_with_spill(
-                    views, total, ~out
+                order = oracle_order(policy_name, arrays, tick)
+                counterfactual, counterfactual_unserved = oracle_assign(
+                    order, n, total, cap
+                )
+                degraded, degraded_unserved = oracle_assign(
+                    [i for i in order if not out[i]], n, total, cap
                 )
                 np.testing.assert_array_equal(
-                    decision.allocations_pct, degraded.allocations_pct
+                    decision.allocations_pct, degraded
                 )
-                assert decision.unserved_pct == degraded.unserved_pct
-                assert respilled == float(
-                    counterfactual.allocations_pct[out].sum()
-                )
+                assert decision.unserved_pct == degraded_unserved
+                assert respilled == float(counterfactual[out].sum())
                 assert fault_unserved == max(
-                    0.0, degraded.unserved_pct - counterfactual.unserved_pct
+                    0.0, degraded_unserved - counterfactual_unserved
                 )
                 assert not decision.allocations_pct[out].any()
 

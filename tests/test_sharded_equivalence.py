@@ -6,8 +6,8 @@ bigger machine", so every test here demands *bit* equality
 sharded run — 1, 2 or 4 shards, inline or forked worker processes —
 and the single-process vector kernel, across:
 
-* every builtin placement policy (array-ranked fast path),
-* a custom view-based policy (the placement's view fallback),
+* every builtin placement policy,
+* a custom placement policy (not in the registry),
 * coordinated fan+DVFS control (cross-layer p-state actuation),
 * a compound fault schedule whose outage respill crosses a shard
   boundary,
@@ -89,16 +89,13 @@ FAULTS = FaultSchedule(
 
 
 class HottestFirstPolicy(PlacementPolicy):
-    """View-based custom policy: exercises the coordinator fallback."""
+    """A custom policy outside the registry, ranked on the arrays."""
 
     name = "hottest-first"
 
-    def order(self, views):
+    def order_indices(self, arrays):
         """Hottest junction first (deterministic index tiebreak)."""
-        return sorted(
-            range(len(views)),
-            key=lambda i: (-views[i].max_junction_c, i),
-        )
+        return np.argsort(-arrays.max_junction_c, kind="stable")
 
 
 def run_fleet(
@@ -158,7 +155,7 @@ class TestBuiltinPolicies:
         assert_results_identical(base, sharded)
         assert sharded.backend == "sharded"
 
-    def test_custom_view_policy_fallback(self):
+    def test_custom_policy_bit_identical(self):
         base, _ = run_fleet("vector", policy=HottestFirstPolicy())
         sharded, _ = run_fleet(
             "sharded",
