@@ -19,7 +19,8 @@ Usage::
 
 import numpy as np
 
-from repro import BangBangController, ControllerObservation, ServerSimulator
+from repro import BangBangController, ServerSimulator
+from repro.core.controllers.base import poll_controller
 from repro.reporting import sparkline
 from repro.server.faults import DriftFault
 from repro.telemetry import TelemetryWatchdog
@@ -82,14 +83,10 @@ def main() -> None:
                 f"(sensor error {drift_history[-1]:+.1f} degC)"
             )
 
-        observation = ControllerObservation(
-            time_s=sim.time_s,
-            max_cpu_temperature_c=max(measured),
-            avg_cpu_temperature_c=float(np.mean(measured)),
-            utilization_pct=50.0,
-            current_rpm_command=rpm,
+        decision, _ = poll_controller(
+            controller, sim.time_s, max(measured), float(np.mean(measured)),
+            50.0, rpm,
         )
-        decision = controller.decide(observation)
         if decision is not None:
             rpm = decision
             sim.set_fan_rpm(rpm)

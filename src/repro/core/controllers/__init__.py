@@ -9,7 +9,11 @@ knowledge — bound the design space from both sides.
 
 from repro.core.controllers.bangbang import BangBangController, BangBangThresholds
 from repro.core.controllers.coordinated import CoordinatedController
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import (
+    ControllerObservation,
+    FanController,
+    LockoutController,
+)
 from repro.core.controllers.default import FixedSpeedController
 from repro.core.controllers.lut import LUTController
 from repro.core.controllers.mpc import (
@@ -26,6 +30,7 @@ __all__ = [
     "ControllerObservation",
     "FanController",
     "FixedSpeedController",
+    "LockoutController",
     "LUTController",
     "ModelPredictiveController",
     "build_mpc_from_characterization",

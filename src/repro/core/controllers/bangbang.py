@@ -61,13 +61,11 @@ class BangBangController(FanController):
             raise ValueError("step_rpm must be positive")
         if max_rpm <= min_rpm:
             raise ValueError("max_rpm must exceed min_rpm")
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
+        FanController.__init__(self, poll_interval_s)
         self.thresholds = thresholds or BangBangThresholds()
         self.step_rpm = step_rpm
         self.min_rpm = min_rpm
         self.max_rpm = max_rpm
-        self.poll_interval_s = poll_interval_s
 
     @property
     def name(self) -> str:

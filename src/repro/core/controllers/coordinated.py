@@ -10,10 +10,11 @@ extension closes that gap:
 2. **Fan selection** — look up the optimum fan speed for the *executed*
    utilization, exactly as the paper's LUT does.
 
-The controller emits fan commands through the usual
-:meth:`~repro.core.controllers.base.FanController.decide` interface and
-p-state commands through :meth:`decide_pstate`, which the experiment
-runner applies when the simulator spec carries a DVFS ladder.
+The controller emits fan commands through the
+:class:`~repro.core.controllers.lut.LUTController` policy it extends
+and p-state commands through :meth:`decide_pstate`, which every closed
+loop polls right after the fan decision (see
+:mod:`repro.core.controllers.base`).
 
 .. note::
    Evaluate this controller with ``ExperimentConfig(loadgen_mode=
@@ -30,13 +31,18 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import ControllerObservation
+from repro.core.controllers.lut import LUTController
 from repro.core.lut import LookupTable
 from repro.server.dvfs import DvfsSpec
 
 
-class CoordinatedController(FanController):
-    """Joint p-state + LUT fan policy driven by the load monitor."""
+class CoordinatedController(LUTController):
+    """Joint p-state + LUT fan policy driven by the load monitor.
+
+    The LUT is characterized against executed utilization, which is
+    exactly what the monitor reports.
+    """
 
     def __init__(
         self,
@@ -46,18 +52,11 @@ class CoordinatedController(FanController):
         poll_interval_s: float = 1.0,
         lockout_s: float = 60.0,
     ):
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if lockout_s < 0:
-            raise ValueError("lockout_s must be non-negative")
+        LUTController.__init__(self, lut, poll_interval_s, lockout_s)
         if not 0.0 < headroom_pct <= 100.0:
             raise ValueError("headroom_pct must be in (0, 100]")
-        self.lut = lut
         self.dvfs = dvfs
         self.headroom_pct = headroom_pct
-        self.poll_interval_s = poll_interval_s
-        self.lockout_s = lockout_s
-        self._last_fan_change_s: Optional[float] = None
         self._pstate = 0
 
     @property
@@ -65,11 +64,8 @@ class CoordinatedController(FanController):
         return "Coordinated"
 
     def reset(self) -> None:
-        self._last_fan_change_s = None
+        LUTController.reset(self)
         self._pstate = 0
-
-    def initial_rpm(self) -> Optional[float]:
-        return self.lut.query(0.0)
 
     # ------------------------------------------------------------------
     # p-state policy
@@ -99,21 +95,4 @@ class CoordinatedController(FanController):
         if target == self._pstate:
             return None
         self._pstate = target
-        return target
-
-    # ------------------------------------------------------------------
-    # fan policy
-    # ------------------------------------------------------------------
-    def decide(self, observation: ControllerObservation) -> Optional[float]:
-        # The LUT is characterized against executed utilization, which
-        # is exactly what the monitor reports.
-        target = self.lut.query(observation.utilization_pct)
-        if target == observation.current_rpm_command:
-            return None
-        if (
-            self._last_fan_change_s is not None
-            and observation.time_s - self._last_fan_change_s < self.lockout_s
-        ):
-            return None
-        self._last_fan_change_s = observation.time_s
         return target

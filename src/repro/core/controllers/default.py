@@ -19,10 +19,8 @@ class FixedSpeedController(FanController):
     def __init__(self, rpm: float = 3300.0, poll_interval_s: float = 10.0):
         if rpm <= 0:
             raise ValueError("rpm must be positive")
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
+        FanController.__init__(self, poll_interval_s)
         self.rpm = float(rpm)
-        self.poll_interval_s = poll_interval_s
 
     @property
     def name(self) -> str:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import ControllerObservation, LockoutController
 from repro.core.lut import LookupTable
 
 
-class LUTController(FanController):
+class LUTController(LockoutController):
     """Utilization-driven lookup-table fan controller."""
 
     def __init__(
@@ -26,37 +26,19 @@ class LUTController(FanController):
         poll_interval_s: float = 1.0,
         lockout_s: float = 60.0,
     ):
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if lockout_s < 0:
-            raise ValueError("lockout_s must be non-negative")
+        LockoutController.__init__(self, poll_interval_s, lockout_s)
         self.lut = lut
-        self.poll_interval_s = poll_interval_s
-        self.lockout_s = lockout_s
-        self._last_change_s: Optional[float] = None
 
     @property
     def name(self) -> str:
         return "LUT"
-
-    def reset(self) -> None:
-        self._last_change_s = None
 
     def initial_rpm(self) -> Optional[float]:
         # Start from the idle entry: the experiment protocol begins
         # with an idle stabilization phase.
         return self.lut.query(0.0)
 
-    def _locked_out(self, time_s: float) -> bool:
-        if self._last_change_s is None:
-            return False
-        return time_s - self._last_change_s < self.lockout_s
-
     def decide(self, observation: ControllerObservation) -> Optional[float]:
-        target = self.lut.query(observation.utilization_pct)
-        if target == observation.current_rpm_command:
-            return None
-        if self._locked_out(observation.time_s):
-            return None
-        self._last_change_s = observation.time_s
-        return target
+        return self._command(
+            self.lut.query(observation.utilization_pct), observation
+        )

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import ControllerObservation, LockoutController
 from repro.core.thermal_map import ThermalMap
 from repro.models.leakage import FanPowerModel, LeakageModel
 
 
-class ModelPredictiveController(FanController):
+class ModelPredictiveController(LockoutController):
     """Horizon-based predictive fan speed selection."""
 
     def __init__(
@@ -51,10 +51,7 @@ class ModelPredictiveController(FanController):
             raise ValueError("need 0 < step_s <= horizon_s")
         if tau_ref_s <= 0 or tau_rpm_ref <= 0:
             raise ValueError("tau parameters must be positive")
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if lockout_s < 0:
-            raise ValueError("lockout_s must be non-negative")
+        LockoutController.__init__(self, poll_interval_s, lockout_s)
         self.thermal_map = thermal_map
         self.leakage_model = leakage_model
         self.fan_power_model = fan_power_model
@@ -65,16 +62,10 @@ class ModelPredictiveController(FanController):
         self.tau_rpm_ref = tau_rpm_ref
         self.tau_exponent = tau_exponent
         self.max_temperature_c = max_temperature_c
-        self.poll_interval_s = poll_interval_s
-        self.lockout_s = lockout_s
-        self._last_change_s: Optional[float] = None
 
     @property
     def name(self) -> str:
         return "MPC"
-
-    def reset(self) -> None:
-        self._last_change_s = None
 
     def initial_rpm(self) -> Optional[float]:
         return self.candidates_rpm[0]
@@ -128,16 +119,7 @@ class ModelPredictiveController(FanController):
                 best_energy = energy
                 best_rpm = rpm
         target = best_rpm if best_rpm is not None else fallback_rpm
-
-        if target == observation.current_rpm_command:
-            return None
-        if (
-            self._last_change_s is not None
-            and observation.time_s - self._last_change_s < self.lockout_s
-        ):
-            return None
-        self._last_change_s = observation.time_s
-        return target
+        return self._command(target, observation)
 
 
 def build_mpc_from_characterization(

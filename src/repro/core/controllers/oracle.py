@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import ControllerObservation, LockoutController
 from repro.models.steady_state import steady_state_point
 from repro.server.specs import ServerSpec, default_server_spec
 
 
-class OracleController(FanController):
+class OracleController(LockoutController):
     """Per-poll ground-truth optimum fan speed for the observed load."""
 
     def __init__(
@@ -41,28 +41,19 @@ class OracleController(FanController):
     ):
         if not candidates_rpm:
             raise ValueError("need at least one candidate speed")
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if lockout_s < 0:
-            raise ValueError("lockout_s must be non-negative")
+        LockoutController.__init__(self, poll_interval_s, lockout_s)
         if utilization_quantum_pct <= 0:
             raise ValueError("utilization_quantum_pct must be positive")
         self.spec = spec if spec is not None else default_server_spec()
         self.candidates_rpm = tuple(sorted(candidates_rpm))
         self.max_temperature_c = max_temperature_c
         self.ambient_c = ambient_c
-        self.poll_interval_s = poll_interval_s
-        self.lockout_s = lockout_s
         self.utilization_quantum_pct = utilization_quantum_pct
         self._cache: Dict[float, float] = {}
-        self._last_change_s: Optional[float] = None
 
     @property
     def name(self) -> str:
         return "Oracle"
-
-    def reset(self) -> None:
-        self._last_change_s = None
 
     def initial_rpm(self) -> Optional[float]:
         return self._optimal_rpm(0.0)
@@ -90,13 +81,6 @@ class OracleController(FanController):
         return rpm
 
     def decide(self, observation: ControllerObservation) -> Optional[float]:
-        target = self._optimal_rpm(observation.utilization_pct)
-        if target == observation.current_rpm_command:
-            return None
-        if (
-            self._last_change_s is not None
-            and observation.time_s - self._last_change_s < self.lockout_s
-        ):
-            return None
-        self._last_change_s = observation.time_s
-        return target
+        return self._command(
+            self._optimal_rpm(observation.utilization_pct), observation
+        )

@@ -31,8 +31,7 @@ class PIController(FanController):
     ):
         if max_rpm <= min_rpm:
             raise ValueError("max_rpm must exceed min_rpm")
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
+        FanController.__init__(self, poll_interval_s)
         if kp_rpm_per_c < 0 or ki_rpm_per_c_s < 0:
             raise ValueError("gains must be non-negative")
         if deadband_rpm < 0:
@@ -42,7 +41,6 @@ class PIController(FanController):
         self.ki = ki_rpm_per_c_s
         self.min_rpm = min_rpm
         self.max_rpm = max_rpm
-        self.poll_interval_s = poll_interval_s
         self.deadband_rpm = deadband_rpm
         self._integral_rpm = 0.0
         self._last_time_s: Optional[float] = None

@@ -40,8 +40,10 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-#: Bump when the on-disk checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bump when the on-disk checkpoint layout changes incompatibly.  The
+#: payload pickles controllers, so a change of controller attributes
+#: counts (2: the lockout state moved into ``LockoutController``).
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: BSD ``sysexits.h`` EX_TEMPFAIL: the run was interrupted but a
 #: checkpoint was written — re-invoking with ``--resume`` will finish it.

@@ -25,13 +25,17 @@ outage attribution is :meth:`repro.fleet.scheduler.FleetScheduler.place`.
 
 from __future__ import annotations
 
-from math import isnan
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation
+from repro.core.controllers.base import (
+    POLL_EPS_S,
+    advance_poll_clock,
+    poll_controller,
+    start_controller,
+)
 from repro.engine.checkpoint import (
     CheckpointError,
     load_arrays,
@@ -39,7 +43,7 @@ from repro.engine.checkpoint import (
     save_arrays,
     save_pickle,
 )
-from repro.engine.kernel import POLL_EPS_S, FleetVectorKernel, plan_tick_times
+from repro.engine.kernel import FleetVectorKernel, plan_tick_times
 from repro.server.server import CriticalTemperatureError
 from repro.server.thermal import substep_schedule
 
@@ -178,13 +182,13 @@ class FleetSlice:
     Owns the slice's physics (a :class:`FleetVectorKernel` or the
     ``reference`` simulators), controllers, fan commands and poll
     clocks, and its rows of the per-server trace columns.  Each
-    controller is polled on its own cadence with its server's hottest
-    and mean junction and previous-tick executed utilization; an
-    injected sensor fault transforms the observation first, and a
-    dropped-out (NaN) reading makes the BMC hold the last fan and
-    p-state commands while the poll clock still advances.  Commands are
-    validated against the server's spec and reported with the global
-    server index.
+    controller is polled on its own cadence (:func:`poll_controller`)
+    with its server's hottest and mean junction and previous-tick
+    executed utilization; an injected sensor fault transforms the
+    observation first, and a dropped-out (NaN) reading makes the BMC
+    hold the last fan and p-state commands while the poll clock still
+    advances.  Commands are validated against the server's spec and
+    reported with the global server index.
     """
 
     def __init__(
@@ -210,10 +214,6 @@ class FleetSlice:
         self.fleet = fleet
         self.physics = physics
         self.controllers = list(controllers)
-        self._decide_pstate = [
-            getattr(controller, "decide_pstate", None)
-            for controller in self.controllers
-        ]
         #: The slice's trace rows (a :class:`~repro.telemetry.segments.TraceRows`).
         self.rows = rows
         self.summary = summary
@@ -261,10 +261,8 @@ class FleetSlice:
         physics = self.physics
         rpm = physics.rpm
         for li, controller in enumerate(self.controllers):
-            controller.reset()
-            initial = controller.initial_rpm()
             self.rpm_command[li] = self._validated_command(
-                li, initial if initial is not None else float(rpm[li])
+                li, start_controller(controller, float(rpm[li]))
             )
         max_junction_c, leakage_w = physics.initial_summary()
         self._max_junction[:] = max_junction_c
@@ -392,33 +390,19 @@ class FleetSlice:
             avg_c = float(avg_junction_c[li])
             if transform is not None:
                 max_c, avg_c = transform(lo + int(li), time_s, max_c, avg_c)
-            if not (isnan(max_c) or isnan(avg_c)):
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max_c,
-                    avg_cpu_temperature_c=avg_c,
-                    utilization_pct=float(executed[li]),
-                    current_rpm_command=float(rpm_command[li]),
+            rpm, pstate = poll_controller(
+                controller, time_s, max_c, avg_c, float(executed[li]),
+                float(rpm_command[li]),
+            )
+            if rpm is not None:
+                rpm_command[li] = self._validated_command(li, rpm)
+            if pstate is not None:
+                physics.set_pstate(
+                    int(li), self._validated_pstate(li, int(pstate))
                 )
-                wanted = controller.decide(observation)
-                if wanted is not None and wanted != rpm_command[li]:
-                    rpm_command[li] = self._validated_command(li, wanted)
-                # Coordinated controllers additionally command a
-                # p-state, polled on the same cadence and in the same
-                # order as the single-server runner.
-                decide_pstate = self._decide_pstate[li]
-                if decide_pstate is not None:
-                    wanted_pstate = decide_pstate(observation)
-                    if wanted_pstate is not None:
-                        physics.set_pstate(
-                            int(li),
-                            self._validated_pstate(li, int(wanted_pstate)),
-                        )
-            # Advance past the current time: with dt_s larger than the
-            # poll interval a single increment would let the poll clock
-            # fall unboundedly behind the simulation.
-            while time_s >= next_poll[li] - POLL_EPS_S:
-                next_poll[li] += controller.poll_interval_s
+            next_poll[li] = advance_poll_clock(
+                controller, next_poll[li], time_s
+            )
         self.next_poll_due = next_poll.min()
 
     def snapshot(self, staging: str) -> None:
@@ -456,10 +440,6 @@ class FleetSlice:
                 f"controllers, expected {self.hi - self.lo}"
             )
         self.controllers = controllers
-        self._decide_pstate = [
-            getattr(controller, "decide_pstate", None)
-            for controller in controllers
-        ]
         channels = objects["sensor_channels"]
         if self.plan is not None and channels is not None:
             self.plan.sensor_channels[self.lo : self.hi] = channels

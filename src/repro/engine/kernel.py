@@ -42,6 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.controllers.base import POLL_EPS_S
 from repro.server.ambient import ConstantAmbient
 from repro.server.fan import uniform_bank_total
 from repro.server.power import (
@@ -87,10 +88,6 @@ SINGLE_SERVER_TRACE_COLUMNS = (
     "pstate_index",
     "work_deficit_pct_s",
 )
-
-#: Poll-time comparison slack, seconds (shared by both runners).
-POLL_EPS_S = 1e-9
-
 
 def plan_tick_times(steps: int, dt_s: float) -> np.ndarray:
     """The ``steps + 1`` tick boundary times, accumulated like the loop.
@@ -405,7 +402,7 @@ class SingleServerKernel:
     def chunk_end(self, start: int, next_poll_s: float) -> int:
         """First tick at or past the poll deadline (capped at the end).
 
-        Uses the same ``t >= next_poll - 1e-9`` predicate as the
+        Uses the same ``t >= next_poll - POLL_EPS_S`` predicate as the
         pre-kernel loop, evaluated against the identical accumulated
         tick times.
         """
@@ -806,12 +803,6 @@ class SingleServerKernel:
             column[:tick] = arrays[f"col_{name}"]
 
 
-#: Cold-start fan settle horizon, seconds (matches the paper protocol's
-#: ">= 10 minutes idle" phase; long enough that any rotor reaches the
-#: commanded speed exactly).
-COLD_START_SETTLE_S = 600.0
-
-
 class FleetVectorKernel:
     """Numpy-batched physics for a homogeneous-socket-count fleet.
 
@@ -932,9 +923,7 @@ class FleetVectorKernel:
                 ambient=ConstantAmbient(float(supply[i])),
                 trip_on_critical=False,
             )
-            sim.set_fan_rpm(cold_start_rpm)
-            sim.fans.step(dt_s=COLD_START_SETTLE_S)
-            sim.settle_to_steady_state(utilization_pct=0.0)
+            sim.force_cold_state(cold_start_rpm)
             self.t_j[i] = sim.thermal.state.junction_c
             self.t_h[i] = sim.thermal.state.heatsink_c
             self.t_m[i] = sim.thermal.state.dimm_bank_c

@@ -14,6 +14,9 @@ the controller sees *only* what the DLC-PC could see:
 * utilization from the rolling ``sar`` monitor,
 * its own last actuation command.
 
+Each session resets the controller, and a CSTH channel that drops out
+(a NaN reading) holds its commands, as in the runner and the fleet.
+
 Use this class when studying telemetry-path effects (poll cadence,
 stale data, channel faults caught by the watchdog); use the runner for
 bulk experiments.
@@ -26,7 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import (
+    POLL_EPS_S,
+    FanController,
+    advance_poll_clock,
+    poll_controller,
+    start_controller,
+)
 from repro.server.server import ServerSimulator
 from repro.telemetry.harness import TelemetryHarness
 from repro.telemetry.recorder import TraceRecorder
@@ -135,9 +144,8 @@ class DlcPc:
         loadgen = LoadGen(profile, pwm_period_s=pwm_period_s, mode=loadgen_mode)
         recorder = TraceRecorder(DLCPC_TRACE_COLUMNS)
 
-        initial = self.controller.initial_rpm()
-        self._rpm_command = (
-            initial if initial is not None else self.sim.fans.mean_rpm
+        self._rpm_command = start_controller(
+            self.controller, self.sim.fans.mean_rpm
         )
         self.sim.set_fan_rpm(self._rpm_command)
 
@@ -155,28 +163,21 @@ class DlcPc:
             elapsed = time_s - start_s
             instantaneous = loadgen.instantaneous_pct(elapsed)
 
-            if time_s >= self._next_controller_poll_s - 1e-9:
+            if time_s >= self._next_controller_poll_s - POLL_EPS_S:
                 csth_temps = self.latest_cpu_temperatures_c()
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max(csth_temps),
-                    avg_cpu_temperature_c=float(np.mean(csth_temps)),
-                    utilization_pct=self.monitor.utilization_pct(),
-                    current_rpm_command=self._rpm_command,
+                rpm, pstate = poll_controller(
+                    self.controller, time_s, max(csth_temps),
+                    float(np.mean(csth_temps)), self.monitor.utilization_pct(),
+                    self._rpm_command,
                 )
-                decision = self.controller.decide(observation)
-                if decision is not None and decision != self._rpm_command:
-                    self._rpm_command = decision
-                    self.sim.set_fan_rpm(self._rpm_command)
-                decide_pstate = getattr(self.controller, "decide_pstate", None)
-                if decide_pstate is not None:
-                    pstate = decide_pstate(observation)
-                    if pstate is not None:
-                        self.sim.set_pstate(pstate)
-                # Advance past the current time so a dt_s longer than
-                # the poll interval cannot leave the clock behind.
-                while time_s >= self._next_controller_poll_s - 1e-9:
-                    self._next_controller_poll_s += self.controller.poll_interval_s
+                if rpm is not None:
+                    self._rpm_command = rpm
+                    self.sim.set_fan_rpm(rpm)
+                if pstate is not None:
+                    self.sim.set_pstate(pstate)
+                self._next_controller_poll_s = advance_poll_clock(
+                    self.controller, self._next_controller_poll_s, time_s
+                )
 
             state = self.sim.step(dt_s, instantaneous)
             self.monitor.observe(time_s, state.utilization_pct, dt_s)

@@ -40,13 +40,9 @@ class ExperimentProtocol:
             raise ValueError("cold_start_rpm must be positive")
 
     def force_cold_state(self, sim: ServerSimulator) -> None:
-        """Emulate ">= 10 minutes idle at 3600 RPM" by settling the
-        thermal network at the idle equilibrium for that fan speed."""
-        sim.set_fan_rpm(self.cold_start_rpm)
-        # The rotor command is instantaneous here (pre-experiment), so
-        # force the rotors to the commanded speed before settling.
-        sim.fans.step(dt_s=600.0)
-        sim.settle_to_steady_state(utilization_pct=0.0)
+        """Emulate ">= 10 minutes idle at 3600 RPM" (see
+        :meth:`ServerSimulator.force_cold_state`)."""
+        sim.force_cold_state(self.cold_start_rpm)
 
     def wrap_profile(self, load: UtilizationProfile) -> UtilizationProfile:
         """Surround a load profile with the idle head and tail phases."""

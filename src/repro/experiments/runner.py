@@ -25,13 +25,18 @@ Two execution engines produce bit-identical traces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isnan
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import (
+    POLL_EPS_S,
+    FanController,
+    advance_poll_clock,
+    poll_controller,
+    start_controller,
+)
 from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -43,11 +48,7 @@ from repro.engine.checkpoint import (
     require_fingerprint,
     resolve_checkpoint,
 )
-from repro.engine.kernel import (
-    POLL_EPS_S,
-    SINGLE_SERVER_TRACE_COLUMNS,
-    SingleServerKernel,
-)
+from repro.engine.kernel import SINGLE_SERVER_TRACE_COLUMNS, SingleServerKernel
 from repro.experiments.metrics import ExperimentMetrics, compute_metrics
 from repro.experiments.protocol import ExperimentProtocol
 from repro.server.ambient import AmbientModel, ConstantAmbient
@@ -128,9 +129,7 @@ def _prepare(controller, profile, spec, config, ambient, faults=None):
         for sensor_index, fault in faults:
             sim.inject_cpu_temp_fault(int(sensor_index), fault)
 
-    controller.reset()
-    initial = controller.initial_rpm()
-    rpm_command = initial if initial is not None else sim.fans.mean_rpm
+    rpm_command = start_controller(controller, sim.fans.mean_rpm)
 
     loadgen = LoadGen(
         profile, pwm_period_s=config.pwm_period_s, mode=config.loadgen_mode
@@ -296,37 +295,20 @@ def run_experiment(
         if ckpt_every is not None
         else None
     )
-    decide_pstate = getattr(controller, "decide_pstate", None)
     while tick < steps:
         time_s = kernel.tick_time(tick)
         if time_s >= next_poll_s - POLL_EPS_S:
             max_cpu_c, avg_cpu_c = kernel.poll_observation(time_s)
-            # A dropped-out sensor channel (NaN reading, see
-            # repro.server.faults) makes the control plane hold its
-            # last commands; the poll clock still advances.
-            if not (isnan(max_cpu_c) or isnan(avg_cpu_c)):
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max_cpu_c,
-                    avg_cpu_temperature_c=avg_cpu_c,
-                    utilization_pct=kernel.monitored_utilization(),
-                    current_rpm_command=rpm_command,
-                )
-                decision = controller.decide(observation)
-                if decision is not None and decision != rpm_command:
-                    rpm_command = decision
-                    kernel.set_fan_command(rpm_command)
-                # Controllers with a DVFS policy (CoordinatedController)
-                # additionally expose decide_pstate.
-                if decide_pstate is not None:
-                    pstate = decide_pstate(observation)
-                    if pstate is not None:
-                        kernel.set_pstate(pstate)
-            # Advance past the current time: with dt_s larger than the
-            # poll interval a single increment would let the poll clock
-            # fall unboundedly behind the simulation.
-            while time_s >= next_poll_s - POLL_EPS_S:
-                next_poll_s += controller.poll_interval_s
+            rpm, pstate = poll_controller(
+                controller, time_s, max_cpu_c, avg_cpu_c,
+                kernel.monitored_utilization(), rpm_command,
+            )
+            if rpm is not None:
+                rpm_command = rpm
+                kernel.set_fan_command(rpm_command)
+            if pstate is not None:
+                kernel.set_pstate(pstate)
+            next_poll_s = advance_poll_clock(controller, next_poll_s, time_s)
         end = kernel.chunk_end(tick, next_poll_s)
         kernel.integrate(tick, end)
         tick = end
@@ -379,35 +361,16 @@ def _run_reference(
 
         if time_s >= next_poll_s - POLL_EPS_S:
             measured = sim.measured_cpu_temperatures_c()
-            max_cpu_c = max(measured)
-            avg_cpu_c = float(np.mean(measured))
-            # A dropped-out sensor channel (NaN reading, see
-            # repro.server.faults) makes the control plane hold its
-            # last commands; the poll clock still advances.
-            if not (isnan(max_cpu_c) or isnan(avg_cpu_c)):
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max_cpu_c,
-                    avg_cpu_temperature_c=avg_cpu_c,
-                    utilization_pct=monitor.utilization_pct(),
-                    current_rpm_command=rpm_command,
-                )
-                decision = controller.decide(observation)
-                if decision is not None and decision != rpm_command:
-                    rpm_command = decision
-                    sim.set_fan_rpm(rpm_command)
-                # Controllers with a DVFS policy (CoordinatedController)
-                # additionally expose decide_pstate.
-                decide_pstate = getattr(controller, "decide_pstate", None)
-                if decide_pstate is not None:
-                    pstate = decide_pstate(observation)
-                    if pstate is not None:
-                        sim.set_pstate(pstate)
-            # Advance past the current time: with dt_s larger than the
-            # poll interval a single increment would let the poll clock
-            # fall unboundedly behind the simulation.
-            while time_s >= next_poll_s - POLL_EPS_S:
-                next_poll_s += controller.poll_interval_s
+            rpm, pstate = poll_controller(
+                controller, time_s, max(measured), float(np.mean(measured)),
+                monitor.utilization_pct(), rpm_command,
+            )
+            if rpm is not None:
+                rpm_command = rpm
+                sim.set_fan_rpm(rpm_command)
+            if pstate is not None:
+                sim.set_pstate(pstate)
+            next_poll_s = advance_poll_clock(controller, next_poll_s, time_s)
 
         state = sim.step(config.dt_s, instantaneous)
         # The monitor sees what sar reports: the *executed* busy

@@ -39,16 +39,17 @@ Three backends are available:
 
 Each server keeps its *own* controller instance (any
 :class:`~repro.core.controllers.base.FanController`), polled on its own
-cadence exactly as the single-server runner does.  Controllers that
-additionally expose ``decide_pstate`` (the coordinated fan + DVFS
-policy) have their p-state commands actuated per server: the demanded
-allocation is stretched by ``f_nom / f`` into executed utilization
-(numpy-batched, saturating at 100%), and the saturated remainder is
-accumulated as a per-server work deficit that the fleet SLA metrics
-combine with scheduler-unserved demand.  Controllers in the fleet
-observe ground-truth junction temperatures and the previous tick's
-executed utilization (the fleet engine trades the runner's
-noisy-sensor / ``sar``-window emulation for scale).
+cadence through the same controller contract the single-server runner
+uses.  A controller's p-state commands (``decide_pstate``; of the
+shipped policies only the coordinated fan + DVFS one issues any) are
+actuated per server: the demanded allocation is stretched by
+``f_nom / f`` into executed utilization (numpy-batched, saturating at
+100%), and the saturated remainder is accumulated as a per-server work
+deficit that the fleet SLA metrics combine with scheduler-unserved
+demand.  Controllers in the fleet observe ground-truth junction
+temperatures and the previous tick's executed utilization (the fleet
+engine trades the runner's noisy-sensor / ``sar``-window emulation for
+scale).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from repro.engine.checkpoint import (
     resolve_checkpoint,
 )
 from repro.engine.control import FleetSlice, InProcessSlices, TickInputs
-from repro.engine.kernel import COLD_START_SETTLE_S, FleetVectorKernel
+from repro.engine.kernel import FleetVectorKernel
 from repro.fleet.faults import FaultSchedule, FleetFaultPlan
 from repro.fleet.metrics import FleetMetrics, compute_fleet_metrics
 from repro.fleet.scheduler import (
@@ -173,9 +174,7 @@ class _ReferenceBackend:
     def force_cold_state(self, cold_start_rpm: float) -> None:
         """The experiment protocol's pre-``t = 0`` idle settle, per sim."""
         for sim in self.sims:
-            sim.set_fan_rpm(cold_start_rpm)
-            sim.fans.step(dt_s=COLD_START_SETTLE_S)
-            sim.settle_to_steady_state(utilization_pct=0.0)
+            sim.force_cold_state(cold_start_rpm)
 
     def _junctions(self):
         return [sim.thermal.state.junction_c for sim in self.sims]
@@ -657,14 +656,13 @@ class _TickLoop:
         """The staged cut after tick ``t1 - 1``, if one is due.
 
         Due on the cadence, or at the next spill boundary once a stop
-        or an off-cadence checkpoint was requested.
+        was requested.
         """
         engine = self.engine
         if not self.every or t1 >= self.steps:
             return None
         if t1 % self.every and not (
-            (engine._stop_requested or engine._checkpoint_requested)
-            and t1 % self.grid == 0
+            engine._stop_requested and t1 % self.grid == 0
         ):
             return None
         return CheckpointWriter(engine.checkpoint.root, t1)
@@ -688,7 +686,6 @@ class _TickLoop:
             _CHECKPOINT_KIND, self.fingerprint
         )
         prune_checkpoints(engine.checkpoint.root, engine.checkpoint.keep)
-        engine._checkpoint_requested = False
 
     def close(self) -> None:
         """Stop the slices and close the loop's trace rows."""
@@ -810,7 +807,6 @@ class FleetEngine:
         #: Tick the most recent run resumed from (0 = started fresh).
         self.last_resume_tick = 0
         self._stop_requested = False
-        self._checkpoint_requested = False
         #: Wall-clock / RSS figures of the most recent sharded run
         #: (None until one completes; see repro.engine.sharded).
         self.last_run_stats: Optional[Dict[str, object]] = None
@@ -856,10 +852,6 @@ class FleetEngine:
         signal handler.
         """
         self._stop_requested = True
-
-    def request_checkpoint(self) -> None:
-        """Ask the running loop for an off-cadence checkpoint."""
-        self._checkpoint_requested = True
 
     @property
     def controller_name(self) -> str:
@@ -961,7 +953,6 @@ class FleetEngine:
             else None
         )
         self._stop_requested = False
-        self._checkpoint_requested = False
         self.last_resume_tick = 0
         if resume_from is None:
             self.last_checkpoint_path = None

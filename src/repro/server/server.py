@@ -29,6 +29,11 @@ from repro.server.thermal import ThermalNetwork, ThermalState
 from repro.units import validate_non_negative, validate_utilization_pct
 
 
+#: Cold-start fan settle horizon, seconds (the protocol's ">= 10 minutes
+#: idle"; long enough that any rotor reaches the commanded speed exactly).
+COLD_START_SETTLE_S = 600.0
+
+
 class CriticalTemperatureError(RuntimeError):
     """Raised when a junction exceeds the hardware critical threshold."""
 
@@ -224,6 +229,13 @@ class ServerSimulator:
         self._inlet_c = inlet_c
         self._last_state = self._snapshot()
         return self._last_state
+
+    def force_cold_state(self, rpm: float) -> ServerState:
+        """The paper's pre-``t = 0`` cold state: rotors brought to *rpm*,
+        thermal network settled at the idle equilibrium for that speed."""
+        self.set_fan_rpm(rpm)
+        self.fans.step(dt_s=COLD_START_SETTLE_S)
+        return self.settle_to_steady_state(utilization_pct=0.0)
 
     # ------------------------------------------------------------------
     # observation: ground truth

@@ -52,11 +52,6 @@ def default_worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _execute_point(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Module-level worker target (must be picklable)."""
-    return run_scenario(spec)
-
-
 def _execute_point_safe(
     task: Tuple[ScenarioSpec, int, float],
 ) -> Tuple[bool, Dict[str, Any]]:

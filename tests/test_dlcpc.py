@@ -8,6 +8,7 @@ from repro.core.controllers.default import FixedSpeedController
 from repro.core.controllers.lut import LUTController
 from repro.experiments.dlcpc import DLCPC_TRACE_COLUMNS, DlcPc
 from repro.experiments.protocol import ExperimentProtocol
+from repro.server.faults import DropoutFault
 from repro.server.server import ServerSimulator
 from repro.workloads.profile import ConstantProfile, StaircaseProfile
 
@@ -110,3 +111,61 @@ class TestRunnerAgreement:
             - runner_result.column("power_fan_w"),
         )
         assert dlc_energy == pytest.approx(runner_energy, rel=0.01)
+
+
+class _Observed(BangBangController):
+    """Bang-bang that keeps every observation it is asked to decide on."""
+
+    def __init__(self):
+        super().__init__()
+        self.observations = []
+
+    def decide(self, observation):
+        self.observations.append(observation)
+        return super().decide(observation)
+
+
+class TestControllerContract:
+    """The session polls its controller as the runner and the fleet do."""
+
+    @pytest.mark.parametrize("start_s", [300.0, 400.0])
+    def test_dropout_holds_the_fan_command(self, start_s):
+        """CSTH polls in [start_s, 900) s read NaN on sensor 0: those
+        polls hold both commands without asking the controller, so the
+        fan stays where it was when the channel dropped out.  At 300 s
+        the fan sits at its 1800 RPM floor; by 400 s bang-bang has
+        raised it to 3000 RPM, where a NaN read as "cold" would drop it
+        back to the floor."""
+        controller = _Observed()
+        session = make_session(controller)
+        session.sim.inject_cpu_temp_fault(
+            0, DropoutFault(start_s=start_s, end_s=900.0)
+        )
+        result = session.run(ConstantProfile(100.0, 1800.0))
+        seen = controller.observations
+        assert len(seen) == 180 - int((900.0 - start_s) / 10.0)
+        assert not any(
+            np.isnan(o.max_cpu_temperature_c)
+            or np.isnan(o.avg_cpu_temperature_c)
+            for o in seen
+        )
+        assert not any(start_s <= o.time_s < 900.0 for o in seen)
+        time_s = result.column("time_s")
+        commands = result.column("rpm_command")
+        held = commands[(time_s >= start_s) & (time_s <= 900.0)]
+        assert np.all(held == held[0])
+
+    def test_reused_controller_starts_afresh(self, paper_lut):
+        """A controller reused for a second session is reset first: the
+        second session equals a fresh controller's, which changes the
+        fan twice (up for the 100% step, down for the 10% step)."""
+        profile = StaircaseProfile([100.0, 10.0], step_duration_s=300.0)
+        reused = LUTController(paper_lut)
+        make_session(reused).run(profile)
+        second = make_session(reused).run(profile)
+        fresh = make_session(LUTController(paper_lut)).run(profile)
+        for name in DLCPC_TRACE_COLUMNS:
+            np.testing.assert_array_equal(
+                second.column(name), fresh.column(name), err_msg=name
+            )
+        assert np.count_nonzero(np.diff(fresh.column("rpm_command"))) == 2
