@@ -3,8 +3,8 @@
 The repository declares its trace schemas as module-level tuples of
 column-name strings whose names end in ``TRACE_COLUMNS``
 (``SINGLE_SERVER_TRACE_COLUMNS`` in :mod:`repro.engine.kernel`,
-``DLCPC_TRACE_COLUMNS`` in the DLC-PC controller, plus aliases like
-``TRACE_COLUMNS = SINGLE_SERVER_TRACE_COLUMNS``).  Rows flow in via
+``FLEET_TRACE_COLUMNS`` in :mod:`repro.telemetry.segments`, plus
+aliases like ``TRACE_COLUMNS = SINGLE_SERVER_TRACE_COLUMNS``).  Rows flow in via
 ``TraceRecorder.record({...})`` / ``record_chunk({...})`` and out via
 ``TraceRecorder.column("name")`` — across the reference engine, the
 chunked kernel, and the golden-trace suite.  A typo'd column on either

@@ -8,9 +8,9 @@ current speed.  Ground truth is deliberately *not* part of the
 observation (except for the oracle extension, which models perfect
 knowledge).
 
-Every closed loop (``run_experiment`` on either engine, ``DlcPc`` and
-the fleet slices) drives its controllers through the three functions
-at the bottom of this module; each keeps its own observation source,
+Every closed loop (``run_experiment`` on either engine and the fleet
+slices) drives its controllers through the three functions at the
+bottom of this module; each keeps its own observation source,
 actuation and command validation.
 """
 
@@ -76,6 +76,13 @@ class FanController(ABC):
     def reset(self) -> None:
         """Clear internal state between experiments."""
 
+    def hold(self, time_s: float) -> None:
+        """The due poll at *time_s* held both commands on a NaN reading.
+
+        Does nothing by default; a policy that integrates over time
+        overrides it so the gap is not counted as observed time.
+        """
+
 
 class LockoutController(FanController):
     """A policy whose fan changes lock further changes out for a while.
@@ -125,10 +132,12 @@ def poll_controller(
     """One due poll: ``(new RPM, new p-state)``, ``None`` meaning hold.
 
     A dropped-out sensor (NaN max or mean) holds both commands without
-    asking the controller.  Otherwise ``decide`` then ``decide_pstate``
-    see the same observation; an RPM equal to *rpm_command* is a hold.
+    asking the controller, which is told through ``hold``.  Otherwise
+    ``decide`` then ``decide_pstate`` see the same observation; an RPM
+    equal to *rpm_command* is a hold.
     """
     if isnan(max_cpu_c) or isnan(avg_cpu_c):
+        controller.hold(time_s)
         return None, None
     observation = ControllerObservation(
         time_s, max_cpu_c, avg_cpu_c, utilization_pct, rpm_command

@@ -6,6 +6,8 @@ set point just under the reliability ceiling is the natural classical
 baseline between bang-bang (reactive, coarse) and LUT (proactive,
 model-based): it is reactive like bang-bang but produces smooth fan
 commands.  Anti-windup clamps the integrator at the actuator limits.
+A telemetry gap (polls held on a NaN reading) is not integrated: the
+first poll after it restarts the integral from the held command.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from repro.units import clamp
 
 class PIController(FanController):
     """Discrete PI regulation of max die temperature via fan speed."""
+
+    #: Set by :meth:`hold`, cleared by the next :meth:`decide`.  A class
+    #: default, so a controller pickled before the field existed loads.
+    _held = False
 
     def __init__(
         self,
@@ -52,6 +58,12 @@ class PIController(FanController):
     def reset(self) -> None:
         self._integral_rpm = 0.0
         self._last_time_s = None
+        self._held = False
+
+    def hold(self, time_s: float) -> None:
+        """Move the integration clock past the gap."""
+        self._last_time_s = time_s
+        self._held = True
 
     def initial_rpm(self) -> Optional[float]:
         return self.min_rpm
@@ -65,6 +77,13 @@ class PIController(FanController):
             else self.poll_interval_s
         )
         self._last_time_s = observation.time_s
+        if self._held:
+            # Bumpless: the integral that reproduces the held command.
+            self._held = False
+            self._integral_rpm = (
+                observation.current_rpm_command - self.min_rpm
+                - self.kp * error_c
+            )
 
         self._integral_rpm += self.ki * error_c * dt
         span = self.max_rpm - self.min_rpm

@@ -18,7 +18,6 @@ from repro.experiments.characterization import (
     run_characterization_transient,
     run_constant_load_experiment,
 )
-from repro.experiments.dlcpc import DlcPc, DlcPcResult
 from repro.experiments.metrics import (
     ExperimentMetrics,
     compute_metrics,
@@ -39,8 +38,6 @@ from repro.experiments.report import (
 )
 
 __all__ = [
-    "DlcPc",
-    "DlcPcResult",
     "run_characterization_steady",
     "run_characterization_transient",
     "run_constant_load_experiment",

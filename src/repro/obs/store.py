@@ -397,8 +397,8 @@ class StoreChannel:
 class TimeseriesStore:
     """Named collection of :class:`StoreChannel` with bulk ingestion.
 
-    The store is the hub between producers (fleet engine capture,
-    telemetry harness) and consumers (HTTP endpoints, detectors).  An
+    The store is the hub between producers (fleet engine capture) and
+    consumers (HTTP endpoints, detectors).  An
     optional :class:`~repro.obs.metrics.MetricsRegistry` receives
     ingest accounting (``repro_store_samples_total``).
     """

@@ -37,7 +37,9 @@ import numpy as np
 #: respilled_pct_s, fault_sla_pct_s).
 #: v3: the fleet and facility kinds honour ``lut_lockout_s`` (v2 rows
 #: of points with a non-default lockout ran with the 60 s default).
-CACHE_SCHEMA_VERSION = 3
+#: v4: PI no longer integrates a sensor dropout's held polls (v3 rows
+#: of ``pi`` points with a dropout fault wound up across the gap).
+CACHE_SCHEMA_VERSION = 4
 
 #: Parameter values rendered directly into the tidy result table.
 _SCALAR_TYPES = (bool, int, float, str)

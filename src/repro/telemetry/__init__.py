@@ -3,15 +3,18 @@
 The paper collects runtime dynamics through Oracle's CSTH running on
 the service processor: four CPU die temperatures, 32 DIMM temperatures,
 per-core voltage/current and whole-system power, polled every 10 s.
-This package reimplements that telemetry path:
+The closed loops read the die channels at their poll instants
+(:func:`repro.experiments.runner.run_experiment` and the fleet
+slices); this package keeps what they record and what is learned from
+it:
 
-* :mod:`repro.telemetry.channel` — named sample channels with bounded
-  history,
-* :mod:`repro.telemetry.harness` — periodic polling of provider
-  callables into channels,
 * :mod:`repro.telemetry.recorder` — tabular trace capture / CSV export,
+* :mod:`repro.telemetry.segments` — streamed fleet traces spilled to
+  memory-mapped ``.npy`` columns,
 * :mod:`repro.telemetry.analysis` — trace statistics used in the
-  evaluation (settle time, overshoot, thermal cycles, rolling means).
+  evaluation (settle time, overshoot, thermal cycles, rolling means),
+* :mod:`repro.telemetry.anomaly` — the MSET + SPRT prognostics
+  watchdog.
 """
 
 from repro.telemetry.analysis import (
@@ -28,17 +31,12 @@ from repro.telemetry.anomaly import (
     SprtDetector,
     TelemetryWatchdog,
 )
-from repro.telemetry.channel import TelemetryChannel, TelemetrySample
-from repro.telemetry.harness import TelemetryHarness
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = [
     "SimilarityModel",
     "SprtDetector",
     "TelemetryWatchdog",
-    "TelemetryChannel",
-    "TelemetrySample",
-    "TelemetryHarness",
     "TraceRecorder",
     "TraceSummary",
     "count_threshold_crossings",

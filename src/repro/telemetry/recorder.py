@@ -5,8 +5,8 @@ grows by doubling, so recording a multi-hour trace never degenerates
 into per-tick Python-object churn.  The execution kernel
 (:mod:`repro.engine.kernel`) records whole chunks of ticks in one
 :meth:`TraceRecorder.record_chunk` call; the per-row :meth:`record`
-surface is kept for incremental writers (DLC-PC, telemetry harness,
-tests).
+surface is kept for incremental writers (the reference engine's
+tick-by-tick loop, tests).
 """
 
 from __future__ import annotations

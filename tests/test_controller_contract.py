@@ -5,7 +5,7 @@
 the one poll clock (:func:`advance_poll_clock`), the one poll-interval
 check (``FanController``) and the one lockout rule
 (``LockoutController``).  These tests pin each rule on its own; the
-runner, DLC-PC and fleet suites pin the loops that use them.
+runner and fleet suites pin the loops that use them.
 """
 
 import json
@@ -69,6 +69,9 @@ class Scripted(FanController):
     def reset(self):
         self.calls.append(("reset", None))
 
+    def hold(self, time_s):
+        self.calls.append(("hold", time_s))
+
 
 class Target(LockoutController):
     """Commands whatever speed the test sets as its target."""
@@ -94,7 +97,13 @@ class TestPoll:
         assert poll_controller(
             controller, 10.0, max_c, avg_c, 50.0, 2400.0
         ) == (None, None)
-        assert controller.calls == []
+        assert controller.calls == [("hold", 10.0)]
+
+    def test_hold_is_a_no_op_by_default(self):
+        controller = FixedSpeedController(rpm=3300.0)
+        state = dict(vars(controller))
+        controller.hold(10.0)
+        assert vars(controller) == state
 
     def test_equal_command_is_a_hold(self):
         controller = Scripted(rpm=2400.0)

@@ -1,9 +1,20 @@
 """Unit tests for the PI temperature-tracking extension."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.controllers.base import ControllerObservation
 from repro.core.controllers.pid import PIController
+from repro.engine.checkpoint import (
+    CheckpointConfig,
+    list_checkpoints,
+    read_manifest,
+)
+from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.server.faults import DropoutFault
+from repro.workloads.profile import ConstantProfile
 
 
 def obs(time_s, t_max, rpm=1800.0):
@@ -80,3 +91,57 @@ class TestPIController:
 
     def test_name(self):
         assert PIController().name == "PI"
+
+
+def run_through_gap(**kw):
+    """Full load for 1500 s; sensor 0 drops out from 600 to 1200 s."""
+    return run_experiment(
+        PIController(),
+        ConstantProfile(100.0, 1500.0),
+        config=ExperimentConfig(seed=1, loadgen_mode="direct"),
+        faults=[(0, DropoutFault(start_s=600.0, end_s=1200.0))],
+        **kw,
+    )
+
+
+class TestTelemetryGap:
+    """Polls held on a NaN reading are not integrated."""
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_resumes_from_the_held_command(self, engine):
+        """The gap held the fan at 2435 RPM while the die warmed past
+        the target.  Integrating those 600 s as observed time would jump
+        the first command after it to 3997.5 RPM; the PI resumes from
+        the held command instead and stays near the fault-free peak."""
+        result = run_through_gap(engine=engine)
+        time_s = result.column("time_s")
+        commands = result.column("rpm_command")
+        # The row ending at 1201 s runs the command of the 1200 s poll.
+        assert commands[time_s == 1200.0][0] == 2435.0
+        assert commands[time_s == 1201.0][0] == 2435.0
+        assert commands[time_s > 1200.0].max() <= 3000.0
+
+    def test_resume_from_a_cut_inside_the_gap(self, tmp_path):
+        golden = run_through_gap()
+        config = CheckpointConfig(directory=tmp_path, every_s=1000.0)
+        run_through_gap(checkpoint=config)
+        (cut,) = list_checkpoints(config.root)
+        assert read_manifest(cut)["tick"] == 1000
+        resumed = run_through_gap(resume_from=cut)
+        for name, column in golden.as_arrays().items():
+            # measured_max_cpu_c is NaN while sensor 0 is out.
+            assert np.array_equal(
+                resumed.column(name), column, equal_nan=True
+            ), name
+
+    def test_controller_pickled_without_the_hold_field_loads(self):
+        """A PI pickled before ``hold`` existed lacks ``_held``; the
+        class default stands in, so an older checkpoint still resumes."""
+        old = PIController()
+        old.reset()
+        del old.__dict__["_held"]
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded.decide(obs(10.0, 75.0)) == 1800.0 + 600.0 + 50.0
+        loaded.hold(20.0)
+        # Bumpless from the held 2400 RPM: one 10 s interval at +10 degC.
+        assert loaded.decide(obs(30.0, 80.0, rpm=2400.0)) == 2500.0

@@ -9,110 +9,56 @@ loop between :mod:`repro.server.faults`, the controllers, and
 import numpy as np
 
 from repro.core.controllers.bangbang import BangBangController
-from repro.core.controllers.base import ControllerObservation
 from repro.core.controllers.lut import LUTController
 from repro.core.lut import LookupTable
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.server.faults import DriftFault, StuckFault
 from repro.server.server import ServerSimulator
 from repro.telemetry.anomaly import TelemetryWatchdog
-from repro.workloads.loadgen import LoadGen, UtilizationMonitor
 from repro.workloads.profile import ConstantProfile
 
 
-def run_with_fault(controller, fault, sensor_index=0, duration_s=2400.0, util=100.0):
-    """Closed loop with a faulted CPU temp sensor; returns (sim, trace)."""
-    sim = ServerSimulator(seed=2, initial_fan_rpm=3600.0, trip_on_critical=False)
-    sim.settle_to_steady_state(0.0)
-    if fault is not None:
-        sim.inject_cpu_temp_fault(sensor_index, fault)
-    initial = controller.initial_rpm()
-    rpm = initial if initial is not None else sim.fans.mean_rpm
-    sim.set_fan_rpm(rpm)
-    gen = LoadGen(ConstantProfile(util, duration_s), mode="direct")
-    monitor = UtilizationMonitor()
-    next_poll = 0.0
-    temps = []
-    time_s = 0.0
-    for _ in range(int(duration_s)):
-        load = gen.instantaneous_pct(time_s)
-        if time_s >= next_poll:
-            measured = sim.measured_cpu_temperatures_c()
-            observation = ControllerObservation(
-                time_s=time_s,
-                max_cpu_temperature_c=max(measured),
-                avg_cpu_temperature_c=float(np.mean(measured)),
-                utilization_pct=monitor.utilization_pct(),
-                current_rpm_command=rpm,
-            )
-            decision = controller.decide(observation)
-            if decision is not None:
-                rpm = decision
-                sim.set_fan_rpm(rpm)
-            next_poll += controller.poll_interval_s
-        state = sim.step(1.0, load)
-        monitor.observe(time_s, state.utilization_pct, 1.0)
-        time_s = state.time_s
-        temps.append(state.max_junction_c)
-    return sim, np.array(temps)
+def run_with_fault(controller, faults=(), duration_s=2400.0, util=100.0):
+    """The shipped closed loop with faulted CPU temp sensors."""
+    return run_experiment(
+        controller,
+        ConstantProfile(util, duration_s),
+        config=ExperimentConfig(seed=2, loadgen_mode="direct"),
+        faults=faults,
+    )
 
 
 class TestBangBangUnderSensorFaults:
     def test_healthy_baseline_stays_in_band(self):
-        _, temps = run_with_fault(BangBangController(), fault=None)
-        assert temps.max() <= 80.0
+        result = run_with_fault(BangBangController())
+        assert result.column("max_junction_c").max() <= 80.0
 
     def test_stuck_low_sensor_on_one_channel_is_survivable(self):
         """One sensor stuck at 30 degC: T_max over the remaining three
         channels still drives the controller, so the machine stays
         within the emergency envelope."""
-        _, temps = run_with_fault(
-            BangBangController(), StuckFault(30.0), sensor_index=0
+        result = run_with_fault(
+            BangBangController(), faults=[(0, StuckFault(30.0))]
         )
-        assert temps.max() <= 80.0
+        assert result.column("max_junction_c").max() <= 80.0
 
     def test_all_sensors_stuck_low_overheats_the_machine(self):
         """If every die sensor freezes at a cold value the bang-bang
         controller drops the fans to minimum under full load — the
         blind-controller scenario motivating telemetry prognostics."""
-        controller = BangBangController()
-        sim = ServerSimulator(
-            seed=2, initial_fan_rpm=3600.0, trip_on_critical=False
+        result = run_with_fault(
+            BangBangController(),
+            faults=[(index, StuckFault(30.0)) for index in range(4)],
         )
-        sim.settle_to_steady_state(0.0)
-        for index in range(4):
-            sim.inject_cpu_temp_fault(index, StuckFault(30.0))
-        rpm = 3600.0
-        sim.set_fan_rpm(rpm)
-        next_poll = 0.0
-        time_s = 0.0
-        peak = 0.0
-        for _ in range(2400):
-            if time_s >= next_poll:
-                measured = sim.measured_cpu_temperatures_c()
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max(measured),
-                    avg_cpu_temperature_c=float(np.mean(measured)),
-                    utilization_pct=100.0,
-                    current_rpm_command=rpm,
-                )
-                decision = controller.decide(observation)
-                if decision is not None:
-                    rpm = decision
-                    sim.set_fan_rpm(rpm)
-                next_poll += controller.poll_interval_s
-            state = sim.step(1.0, 100.0)
-            time_s = state.time_s
-            peak = max(peak, state.max_junction_c)
         # Controller saw 30 degC forever -> commanded 1800 RPM -> ~85 degC.
-        assert peak > 80.0
+        assert result.column("max_junction_c").max() > 80.0
 
     def test_stuck_high_sensor_wastes_fan_power(self):
         """A sensor stuck at 85 degC drives the fans to maximum."""
-        sim, _ = run_with_fault(
-            BangBangController(), StuckFault(85.0), sensor_index=0, util=10.0
+        result = run_with_fault(
+            BangBangController(), faults=[(0, StuckFault(85.0))], util=10.0
         )
-        assert sim.fans.mean_rpm >= 4100.0
+        assert result.column("mean_rpm")[-1] >= 4100.0
 
 
 class TestLutControllerUnderSensorFaults:
@@ -120,11 +66,15 @@ class TestLutControllerUnderSensorFaults:
         """The LUT controller never reads temperature (paper §V), so a
         lying thermal sensor cannot change its commands."""
         lut = LookupTable(levels_pct=(0.0, 100.0), rpms=(1800.0, 2400.0))
-        sim_faulty, temps_faulty = run_with_fault(
-            LUTController(lut), StuckFault(30.0), sensor_index=0
+        faulty = run_with_fault(
+            LUTController(lut), faults=[(0, StuckFault(30.0))]
         )
-        sim_healthy, temps_healthy = run_with_fault(LUTController(lut), None)
-        np.testing.assert_allclose(temps_faulty, temps_healthy, atol=1e-9)
+        healthy = run_with_fault(LUTController(lut))
+        np.testing.assert_allclose(
+            faulty.column("max_junction_c"),
+            healthy.column("max_junction_c"),
+            atol=1e-9,
+        )
 
 
 class TestWatchdogInTheLoop:

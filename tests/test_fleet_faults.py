@@ -410,6 +410,29 @@ class TestEngineFaultSemantics:
         # the other servers cycled throughout
         assert np.ptp(result.mean_rpm[window, 1]) > 0.0
 
+    @pytest.mark.parametrize("backend", ["vector", "reference"])
+    def test_pi_resumes_from_the_held_command_after_dropout(self, backend):
+        """Server 0's PI is held from 600 to 1200 s at full load.  The
+        gap is not integrated, so the fan stays near the fault-free
+        peak (~2690 RPM) instead of jumping to 4200 RPM at 1205 s."""
+        schedule = FaultSchedule(
+            events=(
+                SensorFaultEvent(
+                    server=0, mode="dropout", start_s=600.0, end_s=1200.0
+                ),
+            )
+        )
+        result = FleetEngine(
+            build_uniform_fleet(rack_count=1, servers_per_rack=2),
+            ConstantProfile(100.0, 1500.0),
+            controller_factory=lambda i: PIController(),
+            backend=backend,
+            faults=schedule,
+            seed=0,
+        ).run(dt_s=5.0)
+        after = result.times_s > 1200.0
+        assert result.mean_rpm[after, 0].max() < 3000.0
+
 
 class TestOutageAccounting:
     def test_respill_and_fault_sla_attribution(self):

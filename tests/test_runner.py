@@ -1,8 +1,11 @@
 """Unit tests for the closed-loop experiment runner."""
 
+from math import isnan
+
 import numpy as np
 import pytest
 
+from repro.core.controllers.bangbang import BangBangController
 from repro.core.controllers.default import FixedSpeedController
 from repro.core.controllers.lut import LUTController
 from repro.experiments.runner import (
@@ -10,7 +13,10 @@ from repro.experiments.runner import (
     TRACE_COLUMNS,
     run_experiment,
 )
+from repro.server.faults import DropoutFault
 from repro.workloads.profile import ConstantProfile, StaircaseProfile
+
+ENGINES = ("kernel", "reference")
 
 
 class TestRunnerBasics:
@@ -124,3 +130,64 @@ class TestClosedLoopBehaviour:
         power = result.column("power_total_w")
         assert np.all(power > 250.0)
         assert np.all(power < 800.0)
+
+
+class _Observed(BangBangController):
+    """Bang-bang that keeps every observation it is asked to decide on."""
+
+    def __init__(self):
+        BangBangController.__init__(self)
+        self.observations = []
+
+    def decide(self, observation):
+        self.observations.append(observation)
+        return BangBangController.decide(self, observation)
+
+
+class TestControllerContract:
+    """The runner polls its controller through the shared contract."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "start_s, held_rpm", [(300.0, 1800.0), (400.0, 2400.0)]
+    )
+    def test_dropout_holds_the_fan_command(self, start_s, held_rpm, engine):
+        """Sensor 0 reads NaN in [start_s, 900) s: those polls hold both
+        commands without asking the controller, so the fan stays where
+        it was when the channel dropped out.  At 300 s the fan sits at
+        its 1800 RPM floor; by 400 s bang-bang has raised it to 2400 RPM,
+        where a NaN read as "cold" would drop it back to the floor."""
+        controller = _Observed()
+        result = run_experiment(
+            controller,
+            ConstantProfile(100.0, 1800.0),
+            engine=engine,
+            faults=[(0, DropoutFault(start_s=start_s, end_s=900.0))],
+        )
+        seen = controller.observations
+        assert len(seen) == 180 - int((900.0 - start_s) / 10.0)
+        assert not any(
+            isnan(o.max_cpu_temperature_c) or isnan(o.avg_cpu_temperature_c)
+            for o in seen
+        )
+        assert not any(start_s <= o.time_s < 900.0 for o in seen)
+        time_s = result.column("time_s")
+        commands = result.column("rpm_command")
+        held = commands[(time_s >= start_s) & (time_s <= 900.0)]
+        assert np.all(held == held_rpm)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reused_controller_starts_afresh(self, paper_lut, engine):
+        """A controller reused for a second run is reset first: the
+        second run equals a fresh controller's, which changes the fan
+        twice (up for the 100% step, down for the 10% step)."""
+        profile = StaircaseProfile([100.0, 10.0], step_duration_s=300.0)
+        reused = LUTController(paper_lut)
+        run_experiment(reused, profile, engine=engine)
+        second = run_experiment(reused, profile, engine=engine)
+        fresh = run_experiment(LUTController(paper_lut), profile, engine=engine)
+        for name in TRACE_COLUMNS:
+            np.testing.assert_array_equal(
+                second.column(name), fresh.column(name), err_msg=name
+            )
+        assert np.count_nonzero(np.diff(fresh.column("rpm_command"))) == 2
