@@ -50,19 +50,21 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import ExperimentConfig
 from repro.models.fitting import CharacterizationSample, fit_models
-from repro.fleet import PLACEMENT_POLICIES, FaultSchedule
+from repro.fleet import FaultSchedule
 from repro.reporting import ascii_chart, format_table, sparkline
 from repro.sweep import (
     DEFAULT_CACHE_DIR,
     KIND_PARAMS,
+    PARAMETERS,
     build_run,
     fleet_grid,
+    resolve_params,
     run_experiment_point,
     run_sweep,
 )
 
-#: The aggregate-demand profiles of ``fleet``, ``serve`` and ``sweep``.
-FLEET_WORKLOADS = ("diurnal", "batch", "flashcrowd", "mixed")
+#: The controllers ``repro run`` can put on its one server.
+RUN_CONTROLLERS = ("default", "bangbang", "lut", "pi", "oracle", "mpc")
 #: The controllers a fleet-scale run can put on every server.
 FLEET_CONTROLLERS = ("default", "bangbang", "lut", "pi", "coordinated")
 
@@ -163,7 +165,7 @@ def cmd_fit(args) -> int:
 def cmd_lut(args) -> int:
     samples, fitted, fan = _fitted_samples(args)
     lut, results = build_lut_from_characterization(
-        samples, fitted, fan, max_temperature_c=args.max_temp
+        samples, fitted, fan, max_temperature_c=args.lut_max_temperature_c
     )
     rows = [
         [
@@ -223,8 +225,6 @@ def _or_exit(build: Callable[[], Any]) -> Any:
 
 def cmd_run(args) -> int:
     params = _run_params("experiment", args)
-    # the LUT and the MPC both characterize at --seed
-    params["characterization_seed"] = args.seed
     result = _or_exit(lambda: run_experiment_point(params))
     m = result.metrics
     print(f"controller : {result.controller_name}")
@@ -294,25 +294,28 @@ def cmd_fig(args) -> int:
     return 0
 
 
+def _checkpoint(args, **options) -> Optional[CheckpointConfig]:
+    """The ``--checkpoint-*`` flags (plus *options*); None without a dir."""
+    if args.checkpoint_dir is None:
+        return None
+    return CheckpointConfig(
+        directory=args.checkpoint_dir,
+        every_s=args.checkpoint_every,
+        keep=args.checkpoint_keep,
+        **options,
+    )
+
+
 def cmd_fleet(args) -> int:
-    def build():
-        checkpoint = None
-        if args.checkpoint_dir is not None:
-            checkpoint = CheckpointConfig(
-                directory=args.checkpoint_dir,
-                every_s=args.checkpoint_every,
-                keep=args.checkpoint_keep,
-                max_restarts=args.max_restarts,
-            )
-        return build_run(
+    engine = _or_exit(
+        lambda: build_run(
             "fleet",
             _run_params("fleet", args),
-            checkpoint=checkpoint,
+            checkpoint=_checkpoint(args, max_restarts=args.max_restarts),
             trace_dir=args.trace_dir,
             barrier_timeout_s=args.barrier_timeout_s,
         )
-
-    engine = _or_exit(build)
+    )
     fleet = engine.fleet
     # the sweep reads an empty fault file as no faults; still report it
     faults = (engine.faults or ()) if args.faults is not None else None
@@ -412,7 +415,7 @@ def cmd_facility(args) -> int:
     facility = _or_exit(lambda: build_run("facility", params))
     result = facility.run(dt_s=args.dt_s)
     fleet = facility.engine.fleet
-    plant_supply_c = params.get("plant_supply_c", args.crac_supply_c)
+    plant_supply_c = resolve_params("facility", params)["plant_supply_c"]
     m = result.metrics
     q = m.queue
 
@@ -478,9 +481,7 @@ def _build_service(args):
                 port=args.port,
                 dt_s=args.dt_s,
                 time_scale=args.time_scale,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every_s=args.checkpoint_every,
-                checkpoint_keep=args.checkpoint_keep,
+                checkpoint=_checkpoint(args),
             ),
         )
     )
@@ -549,42 +550,25 @@ def _parse_list(text: str, cast, option: str) -> List:
 
 
 def cmd_sweep(args) -> int:
-    if args.racks <= 0:
-        raise SystemExit("--racks must be positive")
-    if args.shards is not None and args.backend != "sharded":
-        raise SystemExit("--shards requires --backend sharded")
-    if args.hours <= 0 or args.dt <= 0:
-        raise SystemExit("--hours and --dt must be positive")
     if args.workers < 0:
         raise SystemExit("--workers must be >= 0 (0 = one per core)")
-    servers = _parse_list(args.servers_per_rack, int, "--servers-per-rack")
-    if any(n <= 0 for n in servers):
-        raise SystemExit("--servers-per-rack values must be positive")
-    policies = _parse_list(args.policy, str, "--policy")
-    for policy in policies:
-        if policy not in PLACEMENT_POLICIES:
-            raise SystemExit(
-                f"unknown policy {policy!r} (have {sorted(PLACEMENT_POLICIES)})"
-            )
     controllers = _parse_list(args.controller, str, "--controller")
     for controller in controllers:
         if controller not in FLEET_CONTROLLERS:
             raise SystemExit(f"unknown controller {controller!r}")
-    cracs = _parse_list(args.crac, float, "--crac")
-
     grid = fleet_grid(
-        server_counts=servers,
-        policies=policies,
+        server_counts=_parse_list(
+            args.servers_per_rack, int, "--servers-per-rack"
+        ),
+        policies=_parse_list(args.policy, str, "--policy"),
         controllers=controllers,
-        crac_supplies_c=cracs,
-        racks=args.racks,
-        workload=args.workload,
-        hours=args.hours,
-        dt_s=args.dt,
+        crac_supplies_c=_parse_list(args.crac, float, "--crac"),
         seed=args.seed,
-        backend=args.backend,
-        shards=args.shards,
+        **{name: getattr(args, name) for name in COMMAND_PARAMS["sweep"]},
     )
+    # the table's checks, on every point before any point runs
+    for point in grid.points():
+        _or_exit(lambda: resolve_params(point.kind, point.params))
     workers = args.workers if args.workers > 0 else None
     cache = None if args.no_cache else args.cache_dir
     # Progress lines flow through the executor's logger (see
@@ -668,53 +652,49 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-_RPM_HELP = "default-controller RPM (default: the spec's firmware speed)"
-_BACKEND_HELP = (
-    "vector = kernelized batch, reference = one ServerSimulator per "
-    "server (the physics oracle), sharded = multi-process workers with "
-    "streamed traces (see docs/scaling.md)"
+#: The run parameters ``fleet``, ``facility`` and ``serve`` share.
+_FLEET_PARAMS = (
+    "racks", "servers_per_rack", "policy", "controller", "hours", "dt_s",
+    "crac_supply_c", "rpm", "lut",
 )
+#: The run parameters (rows of :data:`repro.sweep.PARAMETERS`) each
+#: command takes as flags ("" is the top-level parser); each flag's
+#: dest is its parameter's name.
+COMMAND_PARAMS = {
+    "": ("seed",),
+    "lut": ("lut_max_temperature_c",),
+    "run": ("controller", "profile", "lut", "samples", "rpm"),
+    "fleet": _FLEET_PARAMS + ("workload", "faults", "backend", "shards"),
+    "facility": _FLEET_PARAMS + (
+        "arrivals", "jobs_per_hour", "mean_work_pct_s", "plant_supply_c",
+        "rated_kw", "carbon_base_g_per_kwh", "carbon_peak_g_per_kwh",
+        "no_cooling", "no_power_chain", "no_carbon", "backend",
+    ),
+    "serve": _FLEET_PARAMS + ("workload", "faults"),
+    "sweep": ("racks", "workload", "hours", "dt_s", "backend", "shards"),
+}
 
 
-def _work_pct_s(minutes: str) -> float:
-    """``--mean-work-minutes`` as the ``mean_work_pct_s`` parameter."""
-    return float(minutes) * 60.0 * 100.0
+def _add_params(p: argparse.ArgumentParser, command: str, **choices) -> None:
+    """Add the flags of *command*'s run parameters to its parser *p*.
 
-
-def _fleet_flags() -> argparse.ArgumentParser:
-    """The flags ``fleet``, ``facility`` and ``serve`` share, as a parent.
-
-    Built afresh for each command, so a command may change a default
-    with ``set_defaults`` without touching the others.
+    Each flag comes from its row of the table; *choices* narrows a
+    parameter's choices for this command.
     """
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--racks", type=int, default=2, help="number of racks")
-    p.add_argument(
-        "--servers-per-rack", type=int, default=4, dest="servers_per_rack"
-    )
-    p.add_argument(
-        "--policy",
-        default="coolest-first",
-        choices=sorted(PLACEMENT_POLICIES),
-        help="job placement policy",
-    )
-    p.add_argument(
-        "--controller",
-        default="lut",
-        choices=FLEET_CONTROLLERS,
-        help="per-server fan (or coordinated fan+DVFS) controller",
-    )
-    p.add_argument("--hours", type=float, default=24.0, help="scenario length")
-    p.add_argument(
-        "--dt", type=float, default=60.0, dest="dt_s", help="tick length, s"
-    )
-    p.add_argument(
-        "--crac-supply", type=float, default=24.0, dest="crac_supply_c",
-        help="CRAC supply temperature, degC",
-    )
-    p.add_argument("--rpm", type=float, help=_RPM_HELP)
-    p.add_argument("--lut", help="LUT JSON for the lut controller")
-    return p
+    for name in COMMAND_PARAMS[command]:
+        row = PARAMETERS[name]
+        if row.default is False:
+            p.add_argument(row.flag, action="store_true", dest=name, help=row.help)
+            continue
+        p.add_argument(
+            row.flag,
+            type=row.parse,
+            default=row.default,
+            choices=choices.get(name, row.choices or None),
+            metavar=row.metavar,
+            dest=name,
+            help=row.help,
+        )
 
 
 def _checkpoint_cadence_flags(p: argparse.ArgumentParser) -> None:
@@ -740,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Leakage/temperature-aware server control (DATE'13) reproduction",
     )
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
+    _add_params(parser, "")
     parser.add_argument(
         "--log-level",
         default="info",
@@ -763,21 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lut", help="build the optimum-fan-speed table")
     p.add_argument("--samples", help="samples CSV (default: run a sweep)")
     p.add_argument("--output", help="write LUT JSON here")
-    p.add_argument("--max-temp", type=float, default=75.0, dest="max_temp")
+    _add_params(p, "lut")
     p.set_defaults(func=cmd_lut)
 
-    # run, fleet, facility and serve: each flag's dest is the sweep
-    # parameter it sets (see _run_params and docs/sweeps.md)
+    # run, fleet, facility, serve and sweep: the run flags come from the
+    # parameter table (see _add_params and docs/sweeps.md)
     p = sub.add_parser("run", help="run one controller on one test workload")
-    p.add_argument(
-        "--controller",
-        default="lut",
-        choices=("default", "bangbang", "lut", "pi", "oracle", "mpc"),
-    )
-    p.add_argument("--test", default="test3", dest="profile", metavar="TEST")
-    p.add_argument("--lut", help="LUT JSON for the lut controller")
-    p.add_argument("--samples", help="samples CSV for the mpc controller")
-    p.add_argument("--rpm", type=float, help=_RPM_HELP)
+    _add_params(p, "run", controller=RUN_CONTROLLERS)
     p.add_argument("--trace", help="write the full trace CSV here")
     p.set_defaults(func=cmd_run)
 
@@ -788,28 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", required=True, choices=("1a", "1b", "2a", "2b", "3"))
     p.set_defaults(func=cmd_fig)
 
-    p = sub.add_parser(
-        "fleet",
-        parents=[_fleet_flags()],
-        help="run a multi-server fleet scenario",
-    )
-    p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
-    p.add_argument(
-        "--faults",
-        help="JSON fault spec (list of sensor/fan/outage/crac events, "
-        "see docs/faults.md) injected into the run",
-    )
-    p.add_argument(
-        "--backend",
-        default="vector",
-        choices=("vector", "reference", "sharded"),
-        help=_BACKEND_HELP,
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        help="worker shard count for --backend sharded",
-    )
+    p = sub.add_parser("fleet", help="run a multi-server fleet scenario")
+    _add_params(p, "fleet", controller=FLEET_CONTROLLERS)
     p.add_argument(
         "--trace-dir",
         dest="trace_dir",
@@ -848,82 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "facility",
-        parents=[_fleet_flags()],
         help="run a facility-composed scenario: job queue -> fleet -> "
         "cooling plant -> power chain -> carbon",
     )
-    p.add_argument(
-        "--arrivals",
-        default="diurnal",
-        choices=("poisson", "diurnal", "bursty"),
-        help="job arrival process feeding the queue",
-    )
-    p.add_argument(
-        "--jobs-per-hour",
-        type=float,
-        default=12.0,
-        dest="jobs_per_hour",
-        help="arrival rate (peak rate for diurnal arrivals)",
-    )
-    p.add_argument(
-        "--mean-work-minutes",
-        type=_work_pct_s,
-        default="5",
-        dest="mean_work_pct_s",
-        metavar="MINUTES",
-        help="mean job size, minutes of one full server",
-    )
-    p.add_argument(
-        "--plant-supply",
-        type=float,
-        dest="plant_supply_c",
-        help="cooling-plant supply setpoint for the COP curve, degC "
-        "(default: the CRAC supply)",
-    )
-    p.add_argument(
-        "--rated-kw",
-        type=float,
-        dest="rated_kw",
-        help="UPS/PDU nameplate rating, kW (default: 0.6 kW per server)",
-    )
-    p.add_argument(
-        "--carbon-base",
-        type=float,
-        default=120.0,
-        dest="carbon_base_g_per_kwh",
-        help="cleanest grid intensity, g CO2 per kWh",
-    )
-    p.add_argument(
-        "--carbon-peak",
-        type=float,
-        default=450.0,
-        dest="carbon_peak_g_per_kwh",
-        help="dirtiest grid intensity, g CO2 per kWh",
-    )
-    p.add_argument(
-        "--no-cooling",
-        action="store_true",
-        dest="no_cooling",
-        help="disable the cooling plant (no cooling power)",
-    )
-    p.add_argument(
-        "--no-power-chain",
-        action="store_true",
-        dest="no_power_chain",
-        help="disable the UPS/PDU chain (lossless delivery)",
-    )
-    p.add_argument(
-        "--no-carbon",
-        action="store_true",
-        dest="no_carbon",
-        help="disable carbon accounting",
-    )
-    p.add_argument(
-        "--backend",
-        default="vector",
-        choices=("vector", "reference"),
-        help="queue-driven demand is evaluated tick by tick, so the "
-        "sharded backend is not available here",
+    # queue-driven demand is evaluated tick by tick: no sharded backend
+    _add_params(
+        p, "facility", controller=FLEET_CONTROLLERS, backend=("vector", "reference")
     )
     p.set_defaults(func=cmd_facility)
 
@@ -931,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a cross-product fleet scenario sweep in parallel",
     )
-    p.add_argument("--racks", type=int, default=2, help="racks per point")
     p.add_argument(
         "--servers-per-rack",
         default="2,4",
@@ -954,21 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="24",
         help="comma-separated CRAC supply axis, degC",
     )
-    p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
-    p.add_argument("--hours", type=float, default=24.0, help="scenario length")
-    p.add_argument("--dt", type=float, default=60.0, help="tick length, s")
-    p.add_argument(
-        "--backend",
-        default="vector",
-        choices=("vector", "reference", "sharded"),
-        help=_BACKEND_HELP,
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        help="worker shard count per point for --backend sharded "
-        "(enters the result-cache hash)",
-    )
+    _add_params(p, "sweep")
     p.add_argument(
         "--workers",
         type=int,
@@ -1008,15 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        parents=[_fleet_flags()],
         help="run a fleet scenario live and serve its telemetry over HTTP",
     )
-    p.add_argument("--workload", default="diurnal", choices=FLEET_WORKLOADS)
-    p.add_argument(
-        "--faults",
-        help="JSON fault spec injected into the run; detection is "
-        "scored against it once the scenario completes",
-    )
+    _add_params(p, "serve", controller=FLEET_CONTROLLERS)
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8787, help="bind port")
     p.add_argument(

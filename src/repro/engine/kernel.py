@@ -37,7 +37,7 @@ reproduce the pre-kernel noisy traces draw for draw.
 
 from __future__ import annotations
 
-from math import exp
+from math import exp, nan
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -423,7 +423,7 @@ class SingleServerKernel:
 
         Consumes the pre-drawn poll noise (same values the per-tick
         scalar ``Sensor.read`` calls would have drawn at this point in
-        the stream) and reproduces ``max(measured)`` /
+        the stream) and reproduces ``measured_max(measured)`` /
         ``float(np.mean(measured))`` — for fewer than 8 sensors numpy's
         reduction is the same left-to-right fold as the scalar code, so
         the fold is computed directly; wider sensor arrays go through
@@ -459,6 +459,8 @@ class SingleServerKernel:
                 if value > peak:
                     peak = value
                 acc = acc + value
+            if any_faults and any(value != value for value in values):
+                peak = nan  # a NaN channel makes the max NaN
             return peak, acc / count
         array = np.array(values)
         return float(array.max()), float(np.mean(array))
@@ -687,6 +689,9 @@ class SingleServerKernel:
                             read_time, value
                         )
                         sensor_index += 1
+                        if value != value:  # NaN channel: the max is NaN
+                            peak = value
+                            continue
                     if peak is None or value > peak:
                         peak = value
 

@@ -24,9 +24,10 @@ Two execution engines produce bit-identical traces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -338,6 +339,13 @@ def run_experiment(
     return _finish(controller, config, sim, recorder)
 
 
+def measured_max(readings: Sequence[float]) -> float:
+    """The hottest die reading; NaN when any channel reads NaN (a dropout)."""
+    if any(value != value for value in readings):
+        return math.nan
+    return max(readings)
+
+
 def _run_reference(
     controller, config, sim, loadgen, rpm_command, steps
 ) -> ExperimentResult:
@@ -362,8 +370,9 @@ def _run_reference(
         if time_s >= next_poll_s - POLL_EPS_S:
             measured = sim.measured_cpu_temperatures_c()
             rpm, pstate = poll_controller(
-                controller, time_s, max(measured), float(np.mean(measured)),
-                monitor.utilization_pct(), rpm_command,
+                controller, time_s, measured_max(measured),
+                float(np.mean(measured)), monitor.utilization_pct(),
+                rpm_command,
             )
             if rpm is not None:
                 rpm_command = rpm
@@ -392,7 +401,7 @@ def _run_reference(
                     min(1, len(state.thermal.junction_c) - 1)
                 ],
                 "max_junction_c": state.max_junction_c,
-                "measured_max_cpu_c": max(measured_now),
+                "measured_max_cpu_c": measured_max(measured_now),
                 "dimm_bank_c": state.thermal.dimm_bank_c,
                 "rpm_command": rpm_command,
                 "mean_rpm": state.mean_fan_rpm,

@@ -143,7 +143,7 @@ def sweep_leakage_strength(
 
 
 def scale_sensor_noise(spec: ServerSpec, factor: float) -> ServerSpec:
-    """A spec whose sensor noise sigmas (°C, W, V, A) are scaled by *factor*."""
+    """A spec whose sensor noise sigmas (°C, W) are scaled by *factor*."""
     if factor < 0:
         raise ValueError("factor must be non-negative")
     noise = spec.sensor_noise
@@ -152,8 +152,6 @@ def scale_sensor_noise(spec: ServerSpec, factor: float) -> ServerSpec:
         temperature_quantum_c=noise.temperature_quantum_c,
         power_sigma_w=noise.power_sigma_w * factor,
         power_quantum_w=noise.power_quantum_w,
-        voltage_sigma_v=noise.voltage_sigma_v * factor,
-        current_sigma_a=noise.current_sigma_a * factor,
     )
     return dataclasses.replace(spec, sensor_noise=scaled)
 

@@ -113,6 +113,9 @@ from repro.telemetry.segments import (
 from repro.units import airflow_heat_capacity_w_per_k
 from repro.workloads.profile import UtilizationProfile
 
+#: The execution backends (see the module docstring).
+BACKENDS = ("vector", "reference", "sharded")
+
 #: Manifest kind of every fleet checkpoint; the run fingerprint tells
 #: backends and shard layouts apart.
 _CHECKPOINT_KIND = "fleet"
@@ -719,7 +722,7 @@ class FleetEngine:
         checkpoint: Optional[CheckpointConfig] = None,
         barrier_timeout_s: Optional[float] = None,
     ):
-        if backend not in ("vector", "reference", "sharded"):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.fleet = fleet
         if not isinstance(workload, FleetWorkload):

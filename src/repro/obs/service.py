@@ -36,9 +36,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import os
 import signal
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
@@ -78,9 +77,7 @@ class ServiceConfig:
         time_scale: float = 0.0,
         sse_every_ticks: int = 1,
         linger: bool = True,
-        checkpoint_dir: Union[str, os.PathLike, None] = None,
-        checkpoint_every_s: float = 300.0,
-        checkpoint_keep: int = 2,
+        checkpoint: Optional[CheckpointConfig] = None,
         sse_queue_maxsize: int = 1024,
     ):
         if dt_s <= 0:
@@ -103,28 +100,16 @@ class ServiceConfig:
         #: Keep serving after the scenario completes (the CLI wants
         #: this; in-process tests usually stop the service instead).
         self.linger = linger
-        #: Directory for periodic run checkpoints (None = disabled).
-        #: With a directory set the service checkpoints the engine
-        #: every ``checkpoint_every_s`` simulated seconds, writes a
-        #: final cut on SIGTERM/SIGINT, and resumes from the latest
-        #: checkpoint found there on start.
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every_s = checkpoint_every_s
-        self.checkpoint_keep = checkpoint_keep
+        #: The engine's checkpointing (None = disabled).  With it the
+        #: service checkpoints the engine every ``checkpoint.every_s``
+        #: simulated seconds, writes a final cut on SIGTERM/SIGINT, and
+        #: resumes from the latest checkpoint under its directory on
+        #: start.
+        self.checkpoint = checkpoint
         #: Per-client SSE queue bound: a stalled client drops events
         #: (counted in ``repro_service_sse_dropped_total``) instead of
         #: stalling the simulation or its sibling subscribers.
         self.sse_queue_maxsize = sse_queue_maxsize
-
-    def checkpoint_config(self) -> Optional[CheckpointConfig]:
-        """The engine-side checkpoint config, or None when disabled."""
-        if self.checkpoint_dir is None:
-            return None
-        return CheckpointConfig(
-            directory=self.checkpoint_dir,
-            every_s=self.checkpoint_every_s,
-            keep=self.checkpoint_keep,
-        )
 
 
 class LiveTelemetryService:
@@ -156,9 +141,8 @@ class LiveTelemetryService:
             )
         self.engine = engine
         self.config = config or ServiceConfig()
-        ckpt_cfg = self.config.checkpoint_config()
-        if ckpt_cfg is not None:
-            engine.checkpoint = ckpt_cfg
+        if self.config.checkpoint is not None:
+            engine.checkpoint = self.config.checkpoint
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.store = (
             store

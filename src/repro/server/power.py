@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -252,31 +252,6 @@ class PowerModel:
         return self.socket_active_w(socket, utilization_pct) + self.socket_leakage_w(
             socket, t_junction_c
         )
-
-    def core_voltage_v(self, utilization_pct: float) -> float:
-        """Per-core supply voltage including p-state and loadline droop."""
-        validate_utilization_pct(utilization_pct)
-        nominal = self.spec.core_voltage_v * self.spec.dvfs.voltage_ratio(
-            self._pstate_index
-        )
-        return nominal - self.spec.core_voltage_droop_v_per_pct * utilization_pct
-
-    def per_core_current_a(
-        self, utilization_pct: float, junction_temps_c: Sequence[float]
-    ) -> Tuple[float, ...]:
-        """Per-core current draw, derived from socket power and voltage.
-
-        CSTH exposes per-core voltage/current channels; the simulator
-        derives them by dividing each socket's power evenly among its
-        cores at the drooped supply voltage.
-        """
-        voltage = self.core_voltage_v(utilization_pct)
-        currents = []
-        for socket, t_j in zip(self.spec.sockets, junction_temps_c):
-            socket_power = self.socket_heat_w(socket, utilization_pct, t_j)
-            per_core = socket_power / socket.core_count / voltage
-            currents.extend([per_core] * socket.core_count)
-        return tuple(currents)
 
     def static_idle_w(self) -> float:
         """Power that fan control cannot influence: board + idle DIMM +

@@ -5,8 +5,8 @@ network, ambient model and sensors together behind the same two
 interfaces the physical testbed exposes:
 
 * *actuation* — command fan speeds (the externally-powered fan pairs),
-* *observation* — noisy sensor channels (CSTH: die temperatures, DIMM
-  temperatures, per-core voltage/current, whole-system power).
+* *observation* — noisy sensor channels (CSTH die temperatures and
+  whole-system power, and the fan supplies' power).
 
 Ground truth is also accessible for analysis and tests, clearly
 separated from measured values.
@@ -102,8 +102,6 @@ class ServerSimulator:
         self._power_sensor = Sensor(
             SensorSpec(noise.power_sigma_w, noise.power_quantum_w), self._rng
         )
-        self._voltage_sensor = Sensor(SensorSpec(noise.voltage_sigma_v), self._rng)
-        self._current_sensor = Sensor(SensorSpec(noise.current_sigma_a), self._rng)
 
         cpu_sensor_count = 2 * self.spec.socket_count
         self._cpu_temp_faults = [FaultableSensor() for _ in range(cpu_sensor_count)]
@@ -324,10 +322,6 @@ class ServerSimulator:
             for faultable, reading in zip(self._cpu_temp_faults, healthy)
         )
 
-    def measured_dimm_temperatures_c(self) -> Tuple[float, ...]:
-        """The 32 DIMM thermal sensors, with noise."""
-        return self._temp_sensor.read_many(self.thermal.dimm_temperatures_c())
-
     def measured_system_power_w(self) -> float:
         """Whole-system PSU power (excludes externally powered fans)."""
         reading = self._power_sensor.read(self._last_state.power.compute_w)
@@ -337,15 +331,3 @@ class ServerSimulator:
         """Fan power measured at the external supplies."""
         return self._power_sensor.read(self._last_state.power.fan_w)
 
-    def measured_core_voltages_v(self) -> Tuple[float, ...]:
-        """Per-core supply voltage channels."""
-        true_v = self.power_model.core_voltage_v(self._utilization_pct)
-        core_total = sum(s.core_count for s in self.spec.sockets)
-        return self._voltage_sensor.read_many([true_v] * core_total)
-
-    def measured_core_currents_a(self) -> Tuple[float, ...]:
-        """Per-core current channels."""
-        true_currents = self.power_model.per_core_current_a(
-            self._utilization_pct, self.thermal.state.junction_c
-        )
-        return self._current_sensor.read_many(true_currents)

@@ -152,7 +152,6 @@ class MemorySpec:
     dissipated power preheats the air that reaches the CPU heatsinks.
     """
 
-    dimm_count: int = 32
     #: Total DIMM power at idle, watts.
     p_idle_w: float = 30.0
     #: Additional DIMM power per percent CPU utilization, watts/%.
@@ -167,8 +166,6 @@ class MemorySpec:
     preheat_fraction: float = 0.85
 
     def __post_init__(self) -> None:
-        if self.dimm_count <= 0:
-            raise ValueError("dimm_count must be positive")
         for attr in (
             "p_idle_w",
             "k_active_w_per_pct",
@@ -189,8 +186,6 @@ class SensorNoiseSpec:
     temperature_quantum_c: float = 0.25
     power_sigma_w: float = 2.0
     power_quantum_w: float = 0.5
-    voltage_sigma_v: float = 0.003
-    current_sigma_a: float = 0.15
 
     def __post_init__(self) -> None:
         for attr in (
@@ -198,8 +193,6 @@ class SensorNoiseSpec:
             "temperature_quantum_c",
             "power_sigma_w",
             "power_quantum_w",
-            "voltage_sigma_v",
-            "current_sigma_a",
         ):
             validate_non_negative(getattr(self, attr), attr)
 
@@ -229,10 +222,6 @@ class ServerSpec:
     target_max_temperature_c: float = 75.0
     #: Default firmware fan setting ("close to a fixed 3300 RPM").
     default_fan_rpm: float = 3300.0
-    #: Nominal per-core supply voltage, volts.
-    core_voltage_v: float = 1.0
-    #: Supply droop per percent utilization (loadline), volts/%.
-    core_voltage_droop_v_per_pct: float = 0.0004
     #: Voltage/frequency ladder.  The default is nominal-only, which
     #: reproduces the paper's fixed-frequency testbed; pass
     #: :func:`repro.server.dvfs.default_dvfs_ladder` to study the

@@ -274,18 +274,3 @@ class ThermalNetwork:
                 readings.append(t_j + offset)
         return tuple(readings)
 
-    def dimm_temperatures_c(self) -> Tuple[float, ...]:
-        """True per-DIMM temperatures: bank mean plus a linear gradient.
-
-        DIMMs nearer the chassis wall run cooler than those in the
-        middle of the airflow shadow; a fixed ±3 °C linear gradient
-        captures the spread CSTH reports.
-        """
-        n = self.spec.memory.dimm_count
-        base = self.state.dimm_bank_c
-        if n == 1:
-            return (base,)
-        spread = 3.0
-        return tuple(
-            base + spread * (2.0 * i / (n - 1) - 1.0) for i in range(n)
-        )

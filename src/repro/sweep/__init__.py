@@ -7,7 +7,8 @@ makes a sweep a *declaration* instead of a hand-rolled loop:
 
 * :mod:`repro.sweep.spec` — :class:`ScenarioSpec` (one point) and
   :class:`GridSpec` (a cross product of parameter axes), both reduced
-  to a canonical content hash,
+  to a canonical content hash, and :data:`PARAMETERS`, the one table
+  of the built-in kinds' run parameters,
 * :mod:`repro.sweep.scenarios` — the runner registry mapping spec
   kinds (``experiment``, ``lut_vs_default``, ``fleet``, ``facility``)
   onto the existing engines through :func:`build_run`, with
@@ -40,14 +41,13 @@ Quickstart::
     print(table.column("energy_kwh"))
 """
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.sweep.executor import default_worker_count, run_sweep
 from repro.sweep.result import SweepResult
 from repro.sweep.scenarios import (
     ENGINE_OPTIONS,
-    KIND_PARAMS,
     SCENARIO_KINDS,
     build_fleet_workload,
     build_run,
@@ -58,54 +58,46 @@ from repro.sweep.scenarios import (
 )
 from repro.sweep.spec import (
     CACHE_SCHEMA_VERSION,
+    KIND_PARAMS,
+    PARAMETERS,
     GridSpec,
+    Parameter,
     ScenarioSpec,
     canonical,
     content_hash,
+    resolve_params,
 )
+
+#: The parameters every :func:`fleet_grid` point carries (table defaults).
+_GRID_BASE = ("racks", "workload", "hours", "dt_s", "seed", "backend")
 
 
 def fleet_grid(
     server_counts: Sequence[int] = (2, 4),
     policies: Sequence[str] = ("round-robin", "coolest-first"),
-    controllers: Sequence[str] = ("lut",),
-    crac_supplies_c: Sequence[float] = (24.0,),
-    racks: int = 2,
-    workload: str = "diurnal",
-    hours: float = 24.0,
-    dt_s: float = 60.0,
-    seed: int = 0,
-    backend: str = "vector",
-    shards=None,
-    spec=None,
-    lut=None,
+    controllers: Sequence[str] = (PARAMETERS["controller"].default,),
+    crac_supplies_c: Sequence[float] = (PARAMETERS["crac_supply_c"].default,),
+    **base: Any,
 ) -> GridSpec:
     """The cross-product fleet sweep: servers × policy × controller × CRAC.
 
     ``server_counts`` are servers *per rack* (total servers per point is
     ``racks`` times that); ``crac_supplies_c`` are CRAC supply setpoints
     in °C.  Single-valued axes are allowed — the grid simply has extent
-    1 along them.
+    1 along them.  *base* holds the ``fleet`` parameters every point
+    shares: ``racks``, ``workload``, ``hours``, ``dt_s``, ``seed`` and
+    ``backend`` always (at their :data:`PARAMETERS` defaults unless
+    given, cast by the row's parse type), any other (``shards``,
+    ``spec``, ``lut``, ...) when given and not None.
     """
-    base = {
-        "racks": int(racks),
-        "workload": workload,
-        "hours": float(hours),
-        "dt_s": float(dt_s),
-        "seed": int(seed),
-        "backend": backend,
-    }
-    if shards is not None:
-        # sharded-backend shard count (or explicit sizes); part of the
-        # base params, so it enters every point's content hash
-        base["shards"] = shards
-    if spec is not None:
-        base["spec"] = spec
-    if lut is not None:
-        base["lut"] = lut
+    params = {}
+    for row in (PARAMETERS[name] for name in _GRID_BASE):
+        value = base.pop(row.name, row.default)
+        params[row.name] = value if row.parse is None else row.parse(value)
+    params.update((name, value) for name, value in base.items() if value is not None)
     return GridSpec(
         kind="fleet",
-        base=base,
+        base=params,
         axes={
             "servers_per_rack": [int(n) for n in server_counts],
             "policy": list(policies),
@@ -121,6 +113,8 @@ __all__ = [
     "ENGINE_OPTIONS",
     "GridSpec",
     "KIND_PARAMS",
+    "PARAMETERS",
+    "Parameter",
     "ResultCache",
     "SCENARIO_KINDS",
     "ScenarioSpec",
@@ -133,6 +127,7 @@ __all__ = [
     "fleet_grid",
     "metrics_from_row",
     "register_scenario",
+    "resolve_params",
     "run_experiment_point",
     "run_scenario",
     "run_sweep",

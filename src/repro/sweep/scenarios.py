@@ -71,7 +71,7 @@ from repro.models.fitting import fit_models
 from repro.server.ambient import ConstantAmbient
 from repro.server.dvfs import default_dvfs_ladder
 from repro.server.specs import default_server_spec
-from repro.sweep.spec import ScenarioSpec, content_hash
+from repro.sweep.spec import ScenarioSpec, content_hash, resolve_params
 from repro.units import hours, kilowatts_to_watts
 from repro.workloads.datacenter import (
     build_batch_window_profile,
@@ -79,7 +79,7 @@ from repro.workloads.datacenter import (
     build_flash_crowd_profile,
     combine_profiles,
 )
-from repro.workloads.tests import build_test3_random_steps, paper_test_profiles
+from repro.workloads.tests import paper_test_profiles
 
 #: Registered scenario runners, keyed by spec kind.
 SCENARIO_KINDS: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {}
@@ -124,84 +124,9 @@ def _memoized(tag: str, key_value: Any, build: Callable[[], Any]) -> Any:
     return _PROCESS_MEMO[key]
 
 
-# ----------------------------------------------------------------------
-# the parameter sets
-# ----------------------------------------------------------------------
-#: Where the LUT comes from: given, ladder-rebuilt, or characterized.
-_LUT_PARAMS = frozenset(
-    {
-        "lut",
-        "lut_candidates_rpm",
-        "lut_max_temperature_c",
-        "characterization_seed",
-    }
-)
-#: Controller-selection parameters shared by the built-in kinds.
-_CONTROLLER_PARAMS = _LUT_PARAMS | {
-    "controller",
-    "rpm",
-    "thresholds",
-    "pi_target_c",
-    "lut_lockout_s",
-    "samples",
-}
-#: Server-spec derivation parameters (scaling applied by _derived_spec).
-_SPEC_PARAMS = frozenset({"spec", "leakage_factor", "noise_factor"})
-#: Workload-profile resolution parameters.
-_PROFILE_PARAMS = frozenset({"profile", "profile_seed"})
-#: Parameters every fleet-scale run takes.
-_FLEET_PARAMS = _CONTROLLER_PARAMS | _SPEC_PARAMS | {
-    "racks",
-    "servers_per_rack",
-    "policy",
-    "hours",
-    "dt_s",
-    "crac_supply_c",
-    "seed",
-    "backend",
-}
-
-#: The parameters each built-in kind accepts.
-KIND_PARAMS: Dict[str, frozenset] = {
-    "experiment": _CONTROLLER_PARAMS | _SPEC_PARAMS | _PROFILE_PARAMS
-    | {"ambient_c", "seed"},
-    "lut_vs_default": _SPEC_PARAMS | _PROFILE_PARAMS | _LUT_PARAMS
-    | {"ambient_c", "seed"},
-    "fleet": _FLEET_PARAMS | {"workload", "shards", "faults"},
-    "facility": _FLEET_PARAMS
-    | {
-        "arrivals",
-        "jobs_per_hour",
-        "mean_work_pct_s",
-        "deadline_slack",
-        "plant_supply_c",
-        "rated_kw",
-        "carbon_base_g_per_kwh",
-        "carbon_peak_g_per_kwh",
-        "no_cooling",
-        "no_power_chain",
-        "no_carbon",
-    },
-}
-
 #: FleetEngine settings that cannot change a run's results.  They stay
 #: out of the content hash and reach :func:`build_run` as keywords.
 ENGINE_OPTIONS = frozenset({"checkpoint", "trace_dir", "barrier_timeout_s"})
-
-
-def _check_params(params: Mapping[str, Any], kind: str) -> None:
-    """Reject typo'd / unsupported parameters instead of ignoring them.
-
-    A silently-dropped axis (e.g. ``ambeint_c``) would yield N
-    identical rows presented as a real sweep.
-    """
-    allowed = KIND_PARAMS[kind]
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) for scenario kind {kind!r}: {unknown} "
-            f"(allowed: {sorted(allowed)})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -212,14 +137,14 @@ def _derived_spec(params: Mapping[str, Any]):
 
     The coordinated fan+DVFS policy needs sockets with a real p-state
     ladder to actuate, so under it a single-state spec gets the
-    default ladder.
+    default ladder.  *params* are resolved (:func:`resolve_params`).
     """
-    spec = params.get("spec")
+    spec = params["spec"]
     spec = spec if spec is not None else default_server_spec()
-    leakage_factor = float(params.get("leakage_factor", 1.0))
+    leakage_factor = float(params["leakage_factor"])
     if leakage_factor != 1.0:
         spec = scale_leakage(spec, leakage_factor)
-    noise_factor = float(params.get("noise_factor", 1.0))
+    noise_factor = float(params["noise_factor"])
     if noise_factor != 1.0:
         spec = scale_sensor_noise(spec, noise_factor)
     if params.get("controller") == "coordinated" and len(spec.dvfs) == 1:
@@ -228,11 +153,9 @@ def _derived_spec(params: Mapping[str, Any]):
 
 
 def _resolve_profile(params: Mapping[str, Any]):
-    """The workload profile: an object, a paper-test name, or Test-3."""
-    profile = params.get("profile")
-    seed = int(params.get("profile_seed", 1234))
-    if profile is None:
-        return build_test3_random_steps(seed=seed)
+    """The workload profile: an object or a paper-test name."""
+    profile = params["profile"]
+    seed = int(params["profile_seed"])
     if isinstance(profile, str):
         named = _memoized(
             "paper_tests", seed, lambda: paper_test_profiles(seed=seed)
@@ -247,11 +170,11 @@ def _resolve_profile(params: Mapping[str, Any]):
 
 def _resolve_lut(params: Mapping[str, Any], spec):
     """The lookup table: given, ladder-rebuilt, or the paper pipeline's."""
-    lut = params.get("lut")
+    lut = params["lut"]
     if lut is not None:
         return lut
-    max_temp = float(params.get("lut_max_temperature_c", 75.0))
-    ladder = params.get("lut_candidates_rpm")
+    max_temp = float(params["lut_max_temperature_c"])
+    ladder = params["lut_candidates_rpm"]
     if ladder is not None:
         ladder = tuple(float(r) for r in ladder)
         return _memoized(
@@ -261,7 +184,7 @@ def _resolve_lut(params: Mapping[str, Any], spec):
                 spec, candidates_rpm=ladder, max_temperature_c=max_temp
             ),
         )
-    seed = int(params.get("characterization_seed", params.get("seed", 0)))
+    seed = int(params["characterization_seed"])
     return _memoized(
         "paper_lut",
         {"spec": spec, "seed": seed, "max_temp": max_temp},
@@ -278,10 +201,10 @@ def _fitted_models(samples):
 
 def _mpc_models(params: Mapping[str, Any], spec):
     """The MPC's models: fitted to ``samples``, else to *spec*'s own."""
-    samples = params.get("samples")
+    samples = params["samples"]
     if samples is not None:
         return _fitted_models(list(samples))
-    seed = int(params.get("characterization_seed", 0))
+    seed = int(params["characterization_seed"])
     return _memoized(
         "mpc_models",
         {"spec": spec, "seed": seed},
@@ -296,14 +219,15 @@ def _build_controller(params: Mapping[str, Any], spec) -> Callable[[int], Any]:
 
     Expensive artifacts (the LUT, the MPC's fitted models) resolve
     once per run; each factory call returns a fresh controller, since
-    controllers keep state (lockout clocks, integrators).
+    controllers keep state (lockout clocks, integrators).  *params*
+    are resolved (:func:`resolve_params`).
     """
-    name = str(params.get("controller", "lut"))
+    name = str(params["controller"])
     if name == "default":
         # Baseline consistency: without an explicit rpm the firmware
         # default of *this* spec is used, matching the lut_vs_default
         # kind's baseline (not a hardcoded 3300 RPM).
-        rpm = params.get("rpm")
+        rpm = params["rpm"]
         rpm = float(rpm) if rpm is not None else spec.default_fan_rpm
         if not spec.fan.rpm_min <= rpm <= spec.fan.rpm_max:
             raise ValueError(
@@ -312,17 +236,17 @@ def _build_controller(params: Mapping[str, Any], spec) -> Callable[[int], Any]:
             )
         return lambda index: FixedSpeedController(rpm=rpm)
     if name == "bangbang":
-        thresholds = params.get("thresholds")
+        thresholds = params["thresholds"]
         bands = {} if thresholds is None else {"thresholds": thresholds}
         return lambda index: BangBangController(**bands)
     if name == "pi":
-        target_c = float(params.get("pi_target_c", 70.0))
+        target_c = float(params["pi_target_c"])
         return lambda index: PIController(target_c=target_c)
     if name == "oracle":
         return lambda index: OracleController(spec=spec)
     if name in ("lut", "coordinated"):
         lut = _resolve_lut(params, spec)
-        lockout_s = float(params.get("lut_lockout_s", 60.0))
+        lockout_s = float(params["lut_lockout_s"])
         if name == "lut":
             return lambda index: LUTController(lut, lockout_s=lockout_s)
         return lambda index: CoordinatedController(
@@ -372,18 +296,14 @@ def run_experiment_point(params: Mapping[str, Any]) -> ExperimentResult:
     Bad input raises :class:`ValueError`.  ``repro run`` prints the
     result; the ``experiment`` kind flattens it into its row.
     """
-    _check_params(params, "experiment")
+    params = resolve_params("experiment", params)
     spec = _derived_spec(params)
-    profile = _resolve_profile(params)
-    controller = _build_controller(params, spec)(0)
-    ambient_c = params.get("ambient_c")
-    ambient = None if ambient_c is None else ConstantAmbient(float(ambient_c))
     return run_experiment(
-        controller,
-        profile,
+        _build_controller(params, spec)(0),
+        _resolve_profile(params),
         spec=spec,
-        config=ExperimentConfig(seed=int(params.get("seed", 0))),
-        ambient=ambient,
+        config=ExperimentConfig(seed=int(params["seed"])),
+        ambient=ConstantAmbient(float(params["ambient_c"])),
     )
 
 
@@ -410,15 +330,18 @@ def run_lut_vs_default_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     the (scaled) spec — the behaviour the leakage-strength sweep needs
     — memoized per worker process.
     """
-    _check_params(params, "lut_vs_default")
+    params = resolve_params("lut_vs_default", params)
     spec = _derived_spec(params)
     profile = _resolve_profile(params)
     lut = _resolve_lut(params, spec)
-    config = ExperimentConfig(seed=int(params.get("seed", 0)))
-    ambient = ConstantAmbient(float(params.get("ambient_c", 24.0)))
+    config = ExperimentConfig(seed=int(params["seed"]))
+    ambient = ConstantAmbient(float(params["ambient_c"]))
     default_run, lut_run = (
         run_experiment(
-            _build_controller(dict(params, controller=name), spec)(0),
+            _build_controller(
+                resolve_params("experiment", dict(params, controller=name)),
+                spec,
+            )(0),
             profile,
             spec=spec,
             config=config,
@@ -463,8 +386,8 @@ def build_run(
 ) -> Union[FleetEngine, FacilityEngine]:
     """Build the engine a ``fleet`` or ``facility`` point describes.
 
-    *params* is the point's parameter mapping (:data:`KIND_PARAMS`
-    lists each kind's names); every ``repro fleet``, ``facility`` and
+    *params* is the point's parameter mapping (checked and completed
+    by :func:`resolve_params`); every ``repro fleet``, ``facility`` and
     ``serve`` invocation is such a mapping.  *engine_options* are the
     :data:`ENGINE_OPTIONS` (checkpointing, the trace directory, the
     barrier timeout), which cannot change results and so stay out of
@@ -480,38 +403,29 @@ def build_run(
     unknown = sorted(set(engine_options) - ENGINE_OPTIONS)
     if unknown:
         raise TypeError(f"unknown engine option(s) {unknown}")
-    _check_params(params, kind)
-    for name in ("hours", "dt_s"):
-        if name in params and not float(params[name]) > 0.0:
-            raise ValueError(f"{name} must be positive, got {params[name]}")
+    params = resolve_params(kind, params)
     spec = _derived_spec(params)
-    policy_name = str(params.get("policy", "coolest-first"))
-    if policy_name not in PLACEMENT_POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy_name!r} "
-            f"(have {sorted(PLACEMENT_POLICIES)})"
-        )
     fleet = build_uniform_fleet(
-        rack_count=int(params.get("racks", 2)),
-        servers_per_rack=int(params.get("servers_per_rack", 4)),
+        rack_count=int(params["racks"]),
+        servers_per_rack=int(params["servers_per_rack"]),
         spec=spec,
-        crac_supply_c=float(params.get("crac_supply_c", 24.0)),
+        crac_supply_c=float(params["crac_supply_c"]),
     )
-    seed = int(params.get("seed", 0))
-    duration_s = hours(float(params.get("hours", 24.0)))
+    seed = int(params["seed"])
+    duration_s = hours(float(params["hours"]))
     if kind == "fleet":
         workload = build_fleet_workload(
-            str(params.get("workload", "diurnal")), duration_s, seed=seed
+            str(params["workload"]), duration_s, seed=seed
         )
     else:
         workload = build_job_queue(
-            str(params.get("arrivals", "diurnal")),
+            str(params["arrivals"]),
             fleet.server_count,
             duration_s=duration_s,
             seed=seed,
-            jobs_per_hour=float(params.get("jobs_per_hour", 12.0)),
-            mean_work_pct_s=float(params.get("mean_work_pct_s", 30000.0)),
-            deadline_slack=float(params.get("deadline_slack", 4.0)),
+            jobs_per_hour=float(params["jobs_per_hour"]),
+            mean_work_pct_s=float(params["mean_work_pct_s"]),
+            deadline_slack=float(params["deadline_slack"]),
         )
     # sharded-only knob: an int or explicit shard sizes; enters the cache
     # hash like every other param, so sharded rows never collide with
@@ -524,9 +438,9 @@ def build_run(
     engine = FleetEngine(
         fleet,
         workload,
-        scheduler=FleetScheduler(PLACEMENT_POLICIES[policy_name]()),
+        scheduler=FleetScheduler(PLACEMENT_POLICIES[params["policy"]]()),
         controller_factory=_build_controller(params, spec),
-        backend=str(params.get("backend", "vector")),
+        backend=str(params["backend"]),
         seed=seed,
         faults=FaultSchedule.resolve(params.get("faults")),
         shards=shards,
@@ -534,12 +448,10 @@ def build_run(
     )
     if kind == "fleet":
         return engine
-    # The plant holds the CRAC supply unless told otherwise, so a warmer
-    # CRAC setpoint also earns the plant's COP gain.
-    plant_supply_c = float(
-        params.get("plant_supply_c", params.get("crac_supply_c", 24.0))
-    )
-    rated_kw = params.get("rated_kw")
+    # The plant holds the CRAC supply unless told otherwise (the row's
+    # default), so a warmer CRAC setpoint also earns the plant's COP gain.
+    plant_supply_c = float(params["plant_supply_c"])
+    rated_kw = params["rated_kw"]
     rated_w = (
         kilowatts_to_watts(float(rated_kw))
         if rated_kw is not None
@@ -548,17 +460,17 @@ def build_run(
     return FacilityEngine(
         engine,
         cooling=None
-        if params.get("no_cooling")
+        if params["no_cooling"]
         else CoolingPlant(supply_c=plant_supply_c),
         power=None
-        if params.get("no_power_chain")
+        if params["no_power_chain"]
         else PowerChain(rated_power_w=rated_w),
         carbon=None
-        if params.get("no_carbon")
+        if params["no_carbon"]
         else build_diurnal_carbon_model(
             duration_s=duration_s,
-            base_g_per_kwh=float(params.get("carbon_base_g_per_kwh", 120.0)),
-            peak_g_per_kwh=float(params.get("carbon_peak_g_per_kwh", 450.0)),
+            base_g_per_kwh=float(params["carbon_base_g_per_kwh"]),
+            peak_g_per_kwh=float(params["carbon_peak_g_per_kwh"]),
         ),
     )
 
@@ -575,8 +487,8 @@ def run_fleet_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     content-hash deterministically, so fault grids are cache-correct;
     pick one representation per sweep (they hash differently).
     """
-    engine = build_run("fleet", params)
-    m = engine.run(dt_s=float(params.get("dt_s", 60.0))).metrics
+    params = resolve_params("fleet", params)
+    m = build_run("fleet", params).run(dt_s=float(params["dt_s"])).metrics
     return {
         "server_count": m.server_count,
         "duration_s": m.duration_s,
@@ -609,8 +521,8 @@ def run_facility_scenario(params: Mapping[str, Any]) -> Dict[str, Any]:
     Queue-driven demand is evaluated tick by tick, so the sharded
     backend is rejected here (the engine raises).
     """
-    facility = build_run("facility", params)
-    m = facility.run(dt_s=float(params.get("dt_s", 60.0))).metrics
+    params = resolve_params("facility", params)
+    m = build_run("facility", params).run(dt_s=float(params["dt_s"])).metrics
     q = m.queue
     row: Dict[str, Any] = {
         "server_count": m.fleet.server_count,

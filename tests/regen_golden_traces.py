@@ -18,6 +18,9 @@ regression, not a reason to regenerate.
 ``run_rows.json`` is not a trace: it holds the sweep row of every
 point in :data:`RUN_POINTS`, the matrix on which each CLI run command
 must equal its sweep point (``tests/test_run_description.py``).
+``cli_flags.json`` is not a trace either: it holds every command's
+options (:func:`cli_flags`), the command-line surface ``tests/test_cli.py``
+checks the live parser against.
 """
 
 from __future__ import annotations
@@ -394,6 +397,66 @@ def run_rows() -> Dict[str, Dict]:
 
 
 # ----------------------------------------------------------------------
+# cli_flags.json: the command-line surface
+# ----------------------------------------------------------------------
+#: File holding every command's options (see :func:`cli_flags`).
+CLI_FLAGS_FILE = "cli_flags.json"
+
+
+def _parsed_default(parser, action):
+    """What ``parse_args`` gives *action*'s dest when the flag is absent.
+
+    ``set_defaults`` wins over the action's own default, and a string
+    default goes through the action's type, as argparse does.
+    """
+    default = parser._defaults.get(action.dest, action.default)
+    if isinstance(default, str) and default is action.default and action.type:
+        return action.type(default)
+    return default
+
+
+def cli_flags() -> Dict[str, Dict[str, Dict]]:
+    """Every command's options, keyed by command then option strings.
+
+    The top-level options sit under ``""``.  Each option records its
+    parsed default, choices, action, nargs, metavar and whether it is
+    required; help texts and dests are left out.
+    """
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {}
+    for name, command in [("", parser), *sorted(commands.choices.items())]:
+        surface[name] = {
+            " ".join(action.option_strings) or action.dest: {
+                "default": _parsed_default(command, action),
+                "choices": None
+                if action.choices is None
+                else list(action.choices),
+                "action": type(action).__name__,
+                "nargs": action.nargs,
+                "metavar": action.metavar,
+                "required": action.required,
+            }
+            for action in command._actions
+            if action is not commands
+        }
+    return surface
+
+
+def write_cli_flags(path: Path, surface: Dict[str, Dict[str, Dict]]) -> None:
+    """Write :func:`cli_flags` as sorted, indented JSON."""
+    path.write_text(json.dumps(surface, indent=1, sort_keys=True) + "\n")
+
+
+# ----------------------------------------------------------------------
 # exact-round-trip CSV I/O
 # ----------------------------------------------------------------------
 def write_golden(path: Path, table: Table) -> None:
@@ -429,7 +492,7 @@ def read_run_rows(path: Path) -> Dict[str, Dict]:
 def main(names: Sequence[str] = ()) -> int:
     """Rebuild the named golden files (default: all) under ``tests/golden/``."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    known = set(GOLDEN_BUILDERS) | {RUN_ROWS_FILE}
+    known = set(GOLDEN_BUILDERS) | {RUN_ROWS_FILE, CLI_FLAGS_FILE}
     wanted = set(names) or known
     if wanted - known:
         raise SystemExit(f"unknown golden file(s): {sorted(wanted - known)}")
@@ -443,6 +506,10 @@ def main(names: Sequence[str] = ()) -> int:
     if RUN_ROWS_FILE in wanted:
         write_run_rows(GOLDEN_DIR / RUN_ROWS_FILE, run_rows())
         print(f"wrote {GOLDEN_DIR / RUN_ROWS_FILE} ({len(RUN_POINTS)} rows)")
+    if CLI_FLAGS_FILE in wanted:
+        surface = cli_flags()
+        write_cli_flags(GOLDEN_DIR / CLI_FLAGS_FILE, surface)
+        print(f"wrote {GOLDEN_DIR / CLI_FLAGS_FILE} ({len(surface)} commands)")
     return 0
 
 

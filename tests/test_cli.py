@@ -279,6 +279,37 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--policy", "warp-drive", "--no-cache"])
 
+    #: Case id → bad sweep flags and a piece of the message they exit with.
+    _REFUSED = {
+        "controller-mpc": (["--controller", "mpc"], "unknown controller 'mpc'"),
+        "policy-nope": (["--policy", "nope"], "unknown policy 'nope'"),
+        "racks-0": (["--racks", "0"], "racks must be positive"),
+        "servers-per-rack-0": (
+            ["--servers-per-rack", "0"],
+            "servers_per_rack must be positive",
+        ),
+        "shards-without-sharded": (
+            ["--shards", "2"],
+            "shards requires backend='sharded'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_bad_point_refused_before_any_point_runs(self, case, monkeypatch):
+        import repro.cli as cli
+
+        def run_sweep(*args, **kwargs):
+            pytest.fail("a sweep point ran")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        flags, message = self._REFUSED[case]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--no-cache", "--quiet", *flags])
+        code = excinfo.value.code
+        # a str code: Python prints it to stderr and exits 1
+        assert isinstance(code, str) and "\n" not in code
+        assert message in code
+
 
 class TestParser:
     def test_requires_subcommand(self):

@@ -110,14 +110,6 @@ class TestPowerModelIntegration:
         # Same busy fraction at the deep state costs much less.
         assert model.socket_active_w(socket, 60.0) < 0.5 * nominal
 
-    def test_voltage_channel_follows_pstate(self, dvfs_spec):
-        model = PowerModel(dvfs_spec)
-        v_nominal = model.core_voltage_v(50.0)
-        model.set_pstate(3)
-        assert model.core_voltage_v(50.0) == pytest.approx(
-            v_nominal - 1.0 + 0.8, abs=0.01
-        )
-
     def test_invalid_pstate_rejected(self, dvfs_spec):
         model = PowerModel(dvfs_spec)
         with pytest.raises(IndexError):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.controllers.pid import PIController
+from repro.engine.checkpoint import CheckpointConfig
 from repro.fleet import FleetEngine, build_uniform_fleet
 from repro.fleet.faults import FaultSchedule, SensorFaultEvent
 from repro.obs.service import LiveTelemetryService, ServiceConfig
@@ -240,8 +241,9 @@ class TestGracefulDegradation:
         async def interrupted_run():
             service = make_service(
                 steps=40,
-                checkpoint_dir=tmp_path / "ckpt",
-                checkpoint_every_s=600.0,
+                checkpoint=CheckpointConfig(
+                    directory=tmp_path / "ckpt", every_s=600.0
+                ),
             )
             await service.start()
             while service._tick < 20:
@@ -254,8 +256,9 @@ class TestGracefulDegradation:
         async def resumed_run():
             service = make_service(
                 steps=40,
-                checkpoint_dir=tmp_path / "ckpt",
-                checkpoint_every_s=600.0,
+                checkpoint=CheckpointConfig(
+                    directory=tmp_path / "ckpt", every_s=600.0
+                ),
             )
             await service.run_to_completion()
             await service.stop()

@@ -78,26 +78,6 @@ class TestBreakdown:
         assert b.total_w == pytest.approx(315.0, abs=5.0)
 
 
-class TestDerivedChannels:
-    def test_voltage_droops_with_load(self, model):
-        assert model.core_voltage_v(100.0) < model.core_voltage_v(0.0)
-
-    def test_per_core_currents_count(self, model):
-        currents = model.per_core_current_a(50.0, [60.0, 60.0])
-        assert len(currents) == sum(s.core_count for s in model.spec.sockets)
-
-    def test_per_core_current_reconstructs_power(self, model):
-        u, temps = 80.0, [65.0, 65.0]
-        currents = model.per_core_current_a(u, temps)
-        voltage = model.core_voltage_v(u)
-        reconstructed = sum(currents) * voltage
-        expected = sum(
-            model.socket_heat_w(s, u, t)
-            for s, t in zip(model.spec.sockets, temps)
-        )
-        assert reconstructed == pytest.approx(expected)
-
-
 class TestStaticIdle:
     def test_static_idle_composition(self, model):
         spec = model.spec

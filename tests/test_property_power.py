@@ -60,14 +60,6 @@ class TestGroundTruthPowerProperties:
         )
         assert b.total_w > 0
 
-    @given(u=utilizations, t=temperatures)
-    def test_current_reconstruction(self, u, t):
-        currents = model_global.per_core_current_a(u, [t, t])
-        voltage = model_global.core_voltage_v(u)
-        total = sum(currents) * voltage
-        expected = 2.0 * model_global.socket_heat_w(socket_global, u, t)
-        assert total == pytest.approx(expected, rel=1e-9)
-
 
 class TestAnalyticalModelProperties:
     @given(

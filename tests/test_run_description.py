@@ -184,7 +184,7 @@ BAD_INPUT = {
     "sweep-shards-without-sharded": (
         ["sweep", *_ONE_SERVER, "--shards", "2", "--hours", "0.25",
          "--no-cache", "--quiet"],
-        "--shards requires --backend sharded",
+        "shards requires backend='sharded'",
     ),
     "fleet-hours-0": (
         ["fleet", *_ONE_SERVER, "--hours", "0"],

@@ -177,6 +177,24 @@ class TestControllerContract:
         assert np.all(held == held_rpm)
 
     @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("sensor", range(4))
+    def test_any_dropped_sensor_makes_the_measured_max_nan(self, sensor, engine):
+        """Whichever die channel drops out in [10, 40) s, the measured
+        max reads NaN on exactly those 30 ticks, as the mean does: a NaN
+        reading is never passed over as "not hotter" than the others."""
+        result = run_experiment(
+            FixedSpeedController(3000.0),
+            ConstantProfile(50.0, 60.0),
+            config=ExperimentConfig(seed=3),
+            engine=engine,
+            faults=[(sensor, DropoutFault(start_s=10.0, end_s=40.0))],
+        )
+        time_s = result.column("time_s")
+        dropped = np.isnan(result.column("measured_max_cpu_c"))
+        np.testing.assert_array_equal(dropped, (time_s >= 10.0) & (time_s < 40.0))
+        assert np.count_nonzero(dropped) == 30
+
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_reused_controller_starts_afresh(self, paper_lut, engine):
         """A controller reused for a second run is reset first: the
         second run equals a fresh controller's, which changes the fan

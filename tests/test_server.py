@@ -110,13 +110,6 @@ class TestMeasuredChannels:
     def test_cpu_channel_count(self, sim):
         assert len(sim.measured_cpu_temperatures_c()) == 4
 
-    def test_dimm_channel_count(self, sim):
-        assert len(sim.measured_dimm_temperatures_c()) == 32
-
-    def test_core_channel_counts(self, sim):
-        assert len(sim.measured_core_voltages_v()) == 32
-        assert len(sim.measured_core_currents_a()) == 32
-
     def test_measured_power_tracks_truth(self, sim):
         sim.settle_to_steady_state(50.0)
         readings = [sim.measured_system_power_w() for _ in range(200)]

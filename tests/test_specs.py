@@ -58,16 +58,9 @@ class TestCpuSocketSpec:
 
 
 class TestMemorySpec:
-    def test_default_dimm_count(self):
-        assert MemorySpec().dimm_count == 32
-
     def test_preheat_fraction_bounds(self):
         with pytest.raises(ValueError):
             MemorySpec(preheat_fraction=1.5)
-
-    def test_zero_dimms_rejected(self):
-        with pytest.raises(ValueError):
-            MemorySpec(dimm_count=0)
 
 
 class TestSensorNoiseSpec:

@@ -191,10 +191,3 @@ class TestDerivedSensors:
         readings = network.die_sensor_temperatures_c(sensors_per_die=2)
         assert readings[0] == pytest.approx(59.5)
         assert readings[1] == pytest.approx(60.5)
-
-    def test_dimm_temperature_count(self, network, spec):
-        assert len(network.dimm_temperatures_c()) == spec.memory.dimm_count
-
-    def test_dimm_gradient_spans_six_degrees(self, network):
-        temps = network.dimm_temperatures_c()
-        assert max(temps) - min(temps) == pytest.approx(6.0)
