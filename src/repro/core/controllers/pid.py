@@ -21,10 +21,6 @@ from repro.units import clamp
 class PIController(FanController):
     """Discrete PI regulation of max die temperature via fan speed."""
 
-    #: Set by :meth:`hold`, cleared by the next :meth:`decide`.  A class
-    #: default, so a controller pickled before the field existed loads.
-    _held = False
-
     def __init__(
         self,
         target_c: float = 70.0,
@@ -50,6 +46,8 @@ class PIController(FanController):
         self.deadband_rpm = deadband_rpm
         self._integral_rpm = 0.0
         self._last_time_s: Optional[float] = None
+        #: Set by :meth:`hold`, cleared by the next :meth:`decide`.
+        self._held = False
 
     @property
     def name(self) -> str:

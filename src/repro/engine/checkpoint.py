@@ -21,13 +21,16 @@ every slice's state for the same tick.
 
 The *fingerprint* embedded in the manifest pins the run topology
 (backend, server count, step grid, seed, scheduler/controller names,
-shard layout, spill grid).  Resuming validates the fingerprint before
-restoring any state, so a checkpoint can never be silently applied to
-a different run than the one that wrote it.
+shard layout, spill grid) and, under ``code``, the digest of the
+``repro`` source that wrote it (:func:`code_digest`).  Resuming
+validates the fingerprint before restoring any state, so a checkpoint
+can never be silently applied to a different run, or resumed by other
+code than the code that wrote its trace rows and pickles.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,9 +43,9 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-#: Bump when the on-disk checkpoint layout changes incompatibly.  The
-#: payload pickles controllers, so a change of controller attributes
-#: counts (2: the lockout state moved into ``LockoutController``).
+#: Bump when the manifest layout changes incompatibly.  A change to the
+#: code that writes the payload (a controller's attributes, a trace
+#: rule) is caught by the fingerprint's ``code`` digest instead.
 CHECKPOINT_FORMAT_VERSION = 2
 
 #: BSD ``sysexits.h`` EX_TEMPFAIL: the run was interrupted but a
@@ -179,6 +182,26 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over every ``*.py`` file of the ``repro`` package.
+
+    Each file contributes its path relative to the package root and its
+    bytes, in sorted path order, so any edit, addition, removal or
+    rename of a source file changes the digest.  Computed once per
+    process.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relpath in sorted(
+        path.relative_to(package).as_posix() for path in package.rglob("*.py")
+    ):
+        source = (package / relpath).read_bytes()
+        digest.update(f"{relpath}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
+
+
 def _fsync_dir(path: Path) -> None:
     fd = os.open(str(path), os.O_RDONLY)
     try:
@@ -217,12 +240,7 @@ class CheckpointWriter:
         """Stage a pickle payload as ``<name>.pkl``."""
         return save_pickle(self.staging, name, obj)
 
-    def commit(
-        self,
-        kind: str,
-        fingerprint: Mapping[str, Any],
-        extra: Optional[Mapping[str, Any]] = None,
-    ) -> Path:
+    def commit(self, kind: str, fingerprint: Mapping[str, Any]) -> Path:
         """Checksum every staged file, seal the manifest, rename."""
         files: Dict[str, str] = {}
         for path in sorted(self.staging.iterdir()):
@@ -240,8 +258,6 @@ class CheckpointWriter:
             "fingerprint": dict(fingerprint),
             "files": files,
         }
-        if extra:
-            manifest.update(dict(extra))
         manifest_path = self.staging / _MANIFEST_NAME
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -254,10 +270,6 @@ class CheckpointWriter:
         os.rename(self.staging, final)
         _fsync_dir(self.root)
         return final
-
-    def abort(self) -> None:
-        """Drop the staging directory without committing."""
-        shutil.rmtree(self.staging, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -152,21 +152,6 @@ class _MonitorMirror:
             head += 1
         self._head = head
 
-    def state_dict(self) -> Dict[str, object]:
-        """Mutable window state, for checkpointing."""
-        return {
-            "times": list(self._times),
-            "utils": list(self._utils),
-            "head": self._head,
-            "integral": self._integral,
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._times = [float(v) for v in state["times"]]
-        self._utils = [float(v) for v in state["utils"]]
-        self._head = int(state["head"])
-        self._integral = float(state["integral"])
-
     def value(self) -> float:
         """Current windowed utilization estimate (0 before any sample)."""
         count = len(self._times) - self._head
@@ -281,13 +266,7 @@ class SingleServerKernel:
         self._J = list(state.junction_c)
         self._H = list(state.heatsink_c)
         self._t_m = state.dimm_bank_c
-        rpms = set(sim.fans.rpms)
-        if len(rpms) != 1:
-            raise ValueError(
-                "the single-server kernel requires a uniform fan bank "
-                "(the runner always commands all pairs together)"
-            )
-        self._rpm = rpms.pop()
+        self._rpm = sim.fans.rpms[0]  # the bank is commanded as one
         self._command = self._rpm
         self._pstate = sim.power_model.pstate_index
         self._refresh_pstate_scales()
@@ -727,85 +706,6 @@ class SingleServerKernel:
     def finalize_columns(self) -> Dict[str, np.ndarray]:
         """The completed trace columns (all rows written)."""
         return self.columns
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def state_arrays(self, tick: int) -> Dict[str, np.ndarray]:
-        """Array state after ``tick`` completed ticks, for an ``.npz``."""
-        monitor = self._monitor.state_dict()
-        state = {
-            "junction_c": np.array(self._J),
-            "heatsink_c": np.array(self._H),
-            "dimm_bank_c": np.array(self._t_m),
-            "rpm": np.array(self._rpm),
-            "rpm_command": np.array(self._command),
-            "pstate": np.array(self._pstate),
-            "deficit": np.array(self._deficit),
-            "leak_now": np.array(self._leak_now),
-            "pending_noise": np.array(self._pending_noise),
-            "monitor_times": np.array(monitor["times"]),
-            "monitor_utils": np.array(monitor["utils"]),
-            "monitor_head": np.array(monitor["head"]),
-            "monitor_integral": np.array(monitor["integral"]),
-        }
-        for name, column in self.columns.items():
-            state[f"col_{name}"] = column[:tick].copy()
-        return state
-
-    def state_objects(self) -> Dict[str, object]:
-        """Pickleable control state: the sensor RNG + fault channels."""
-        rng_state = None
-        if self._temp_sensor.spec.sigma > 0.0:
-            rng_state = self._temp_sensor.rng.bit_generator.state
-        return {
-            "rng_state": rng_state,
-            "fault_sensors": self._fault_sensors,
-        }
-
-    def load_state(
-        self,
-        tick: int,
-        arrays: Dict[str, np.ndarray],
-        objects: Dict[str, object],
-    ) -> None:
-        """Restore a :meth:`state_arrays`/:meth:`state_objects` snapshot.
-
-        Derived caches are rebuilt from the restored state by the same
-        pure refresh helpers ``__init__`` uses, so the resumed kernel's
-        next chunk is bit-identical to one that never stopped.
-        """
-        self._J = [float(v) for v in arrays["junction_c"]]
-        self._H = [float(v) for v in arrays["heatsink_c"]]
-        self._t_m = float(arrays["dimm_bank_c"])
-        self._rpm = float(arrays["rpm"])
-        self._command = float(arrays["rpm_command"])
-        self._pstate = int(arrays["pstate"])
-        self._deficit = float(arrays["deficit"])
-        self._leak_now = [float(v) for v in arrays["leak_now"]]
-        self._pending_noise = [float(v) for v in arrays["pending_noise"]]
-        self._refresh_pstate_scales()
-        self._rpm_cache_key = None
-        self._refresh_rpm_derived()
-        self._monitor.load_state(
-            {
-                "times": arrays["monitor_times"].tolist(),
-                "utils": arrays["monitor_utils"].tolist(),
-                "head": int(arrays["monitor_head"]),
-                "integral": float(arrays["monitor_integral"]),
-            }
-        )
-        rng_state = objects.get("rng_state")
-        if rng_state is not None:
-            self._temp_sensor.rng.bit_generator.state = rng_state
-        fault_sensors = objects.get("fault_sensors")
-        if fault_sensors is not None:
-            self._fault_sensors = list(fault_sensors)
-            self._any_faults = any(
-                sensor.fault_count for sensor in self._fault_sensors
-            )
-        for name, column in self.columns.items():
-            column[:tick] = arrays[f"col_{name}"]
 
 
 class FleetVectorKernel:

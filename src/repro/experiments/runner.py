@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,17 +36,6 @@ from repro.core.controllers.base import (
     advance_poll_clock,
     poll_controller,
     start_controller,
-)
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointError,
-    CheckpointWriter,
-    load_arrays,
-    load_pickle,
-    prune_checkpoints,
-    read_manifest,
-    require_fingerprint,
-    resolve_checkpoint,
 )
 from repro.engine.kernel import SINGLE_SERVER_TRACE_COLUMNS, SingleServerKernel
 from repro.experiments.metrics import ExperimentMetrics, compute_metrics
@@ -164,24 +152,6 @@ def _finish(controller, config, sim, recorder) -> ExperimentResult:
     )
 
 
-def _experiment_fingerprint(
-    controller: FanController, config: ExperimentConfig, steps: int,
-    fault_count: int,
-) -> Dict[str, Any]:
-    """JSON-able run identity pinned into experiment checkpoints."""
-    return {
-        "kind": "experiment-kernel",
-        "controller": controller.name,
-        "steps": int(steps),
-        "dt_s": float(config.dt_s),
-        "seed": int(config.seed),
-        "monitor_window_s": float(config.monitor_window_s),
-        "loadgen_mode": config.loadgen_mode,
-        "pwm_period_s": float(config.pwm_period_s),
-        "faults": int(fault_count),
-    }
-
-
 def run_experiment(
     controller: FanController,
     profile: UtilizationProfile,
@@ -191,8 +161,6 @@ def run_experiment(
     engine: str = "kernel",
     faults: Optional[Iterable[Tuple[int, SensorFault]]] = None,
     metrics=None,
-    checkpoint: Optional[CheckpointConfig] = None,
-    resume_from: Optional[Union[str, Path]] = None,
 ) -> ExperimentResult:
     """Run one controller against one workload profile.
 
@@ -216,27 +184,9 @@ def run_experiment(
     *metrics* is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`; the kernel engine
     counts its integrated ticks and chunks into it.
-
-    *checkpoint* (a :class:`~repro.engine.checkpoint.CheckpointConfig`)
-    makes the kernel engine commit an atomic checkpoint of the full
-    run state — kernel arrays, the sensor RNG's ``bit_generator``
-    state, the poll clock, the controller object, recorded trace
-    prefix — at the first poll-chunk boundary past every
-    ``checkpoint.every_s`` seconds of sim time (never mid-chunk: a
-    chunk's sensor noise is drawn in one batched RNG call, so a forced
-    split would change the stream).  *resume_from* restores such a
-    checkpoint and continues; the finished trace is bit-identical to
-    the uninterrupted run.  Both require ``engine="kernel"``.
     """
     if engine not in ("kernel", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "reference" and (
-        checkpoint is not None or resume_from is not None
-    ):
-        raise ValueError(
-            "checkpoint/resume requires engine='kernel' (the reference "
-            "loop is the equivalence oracle and stays stateless)"
-        )
     faults = tuple(faults) if faults is not None else ()
     profile, config, sim, loadgen, rpm_command, steps = _prepare(
         controller, profile, spec, config, ambient, faults
@@ -256,46 +206,8 @@ def run_experiment(
     )
     kernel.set_fan_command(rpm_command)
 
-    fingerprint = _experiment_fingerprint(
-        controller, config, steps, len(faults)
-    )
     next_poll_s = 0.0
     tick = 0
-    if resume_from is not None:
-        resolved = resolve_checkpoint(resume_from)
-        manifest = read_manifest(resolved)
-        if manifest.get("kind") != "experiment-kernel":
-            raise CheckpointError(
-                f"checkpoint {resolved} is kind "
-                f"{manifest.get('kind')!r}, expected 'experiment-kernel'"
-            )
-        require_fingerprint(manifest, fingerprint)
-        tick = int(manifest["tick"])
-        if not 0 < tick < steps:
-            raise CheckpointError(
-                f"checkpoint tick {tick} outside the resumable range "
-                f"(0, {steps})"
-            )
-        kernel.load_state(
-            tick,
-            load_arrays(resolved, "state"),
-            load_pickle(resolved, "state"),
-        )
-        control = load_pickle(resolved, "control")
-        controller = control["controller"]
-        rpm_command = float(control["rpm_command"])
-        next_poll_s = float(control["next_poll_s"])
-
-    ckpt_every = (
-        checkpoint.every_ticks(config.dt_s)
-        if checkpoint is not None
-        else None
-    )
-    next_ckpt_tick = (
-        (tick // ckpt_every + 1) * ckpt_every
-        if ckpt_every is not None
-        else None
-    )
     while tick < steps:
         time_s = kernel.tick_time(tick)
         if time_s >= next_poll_s - POLL_EPS_S:
@@ -313,26 +225,6 @@ def run_experiment(
         end = kernel.chunk_end(tick, next_poll_s)
         kernel.integrate(tick, end)
         tick = end
-        if (
-            checkpoint is not None
-            and next_ckpt_tick is not None
-            and tick >= next_ckpt_tick
-            and tick < steps
-        ):
-            writer = CheckpointWriter(checkpoint.root, tick)
-            writer.arrays("state", kernel.state_arrays(tick))
-            writer.pickle("state", kernel.state_objects())
-            writer.pickle(
-                "control",
-                {
-                    "controller": controller,
-                    "rpm_command": float(rpm_command),
-                    "next_poll_s": float(next_poll_s),
-                },
-            )
-            writer.commit("experiment-kernel", fingerprint)
-            prune_checkpoints(checkpoint.root, checkpoint.keep)
-            next_ckpt_tick = (tick // ckpt_every + 1) * ckpt_every
 
     recorder = TraceRecorder(TRACE_COLUMNS, capacity=steps)
     recorder.record_chunk(kernel.finalize_columns())

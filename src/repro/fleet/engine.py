@@ -84,6 +84,7 @@ from repro.engine.checkpoint import (
     CheckpointError,
     CheckpointWriter,
     RunInterrupted,
+    code_digest,
     load_arrays,
     load_pickle,
     prune_checkpoints,
@@ -540,12 +541,13 @@ class _TickLoop:
         # RAM), where every trace row below the cut is durable.
         self.grid = sink.spill_ticks
         self.every = 0
+        self.fingerprint: Optional[Dict[str, object]] = None
         if engine.checkpoint is not None:
             every = engine.checkpoint.every_ticks(dt_s)
             self.every = -(-every // self.grid) * self.grid
-        self.fingerprint = engine._run_fingerprint(
-            dt_s, steps, bounds, self.grid
-        )
+            self.fingerprint = engine._run_fingerprint(
+                dt_s, steps, bounds, self.grid
+            )
 
         self.inlet_rows = sink.rows(0, n, ("inlet",), self.start_tick)
         build = partial(
@@ -872,7 +874,8 @@ class FleetEngine:
         """JSON-able run identity pinned into checkpoint manifests.
 
         Backend, shard bounds and spill grid refuse a checkpoint from
-        another backend or layout.
+        another backend or layout; ``code`` refuses one written by other
+        code, whose trace rows and pickles this code did not produce.
         """
         return {
             "kind": _CHECKPOINT_KIND,
@@ -889,6 +892,7 @@ class FleetEngine:
             else 0,
             "shard_bounds": [list(b) for b in bounds],
             "spill_ticks": int(spill_ticks),
+            "code": code_digest(),
         }
 
     def _open_checkpoint(

@@ -1,14 +1,13 @@
 """Fan models: cubic power law, airflow, slew limiting, fan banks.
 
 The testbed drives three *pairs* of fans from external Agilent E3644A
-supplies, so each pair can be commanded independently.  All the paper's
-experiments nevertheless command the same speed to all pairs; the bank
-API supports both styles.
+supplies.  All the paper's experiments command the same speed to every
+pair, so the bank takes one command for all its fans.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.server.specs import FanSpec
 from repro.units import clamp, validate_non_negative
@@ -73,11 +72,6 @@ class FanModel:
         """Current rotor speed."""
         return self._rpm
 
-    @property
-    def command_rpm(self) -> float:
-        """Last commanded set point."""
-        return self._command_rpm
-
     def set_command(self, rpm: float) -> None:
         """Command a new speed; the rotor slews toward it on `step`."""
         self._command_rpm = self._validated_rpm(rpm)
@@ -106,21 +100,17 @@ class FanModel:
 
 
 class FanBank:
-    """The chassis fan complement: ``group_count`` independent pairs."""
+    """The chassis fan complement, commanded as one."""
 
     def __init__(
         self,
         spec: FanSpec,
         fan_count: int = 6,
-        fans_per_group: int = 2,
         initial_rpm: float | None = None,
     ):
-        if fan_count <= 0 or fans_per_group <= 0:
-            raise ValueError("fan_count and fans_per_group must be positive")
-        if fan_count % fans_per_group != 0:
-            raise ValueError("fan_count must divide evenly into groups")
+        if fan_count <= 0:
+            raise ValueError("fan_count must be positive")
         self.spec = spec
-        self.fans_per_group = fans_per_group
         self._fans = [
             FanModel(spec, initial_rpm=initial_rpm) for _ in range(fan_count)
         ]
@@ -129,22 +119,6 @@ class FanBank:
     def fan_count(self) -> int:
         """Total number of fans."""
         return len(self._fans)
-
-    @property
-    def group_count(self) -> int:
-        """Number of independently commanded fan groups."""
-        return len(self._fans) // self.fans_per_group
-
-    def _group_fans(self, group: int) -> Sequence[FanModel]:
-        if not 0 <= group < self.group_count:
-            raise IndexError(f"fan group {group} out of range")
-        start = group * self.fans_per_group
-        return self._fans[start : start + self.fans_per_group]
-
-    def set_group_command(self, group: int, rpm: float) -> None:
-        """Command one fan pair to *rpm*."""
-        for fan in self._group_fans(group):
-            fan.set_command(rpm)
 
     def set_all_commands(self, rpm: float) -> None:
         """Command every fan to *rpm* (the paper's usual configuration)."""
@@ -173,11 +147,3 @@ class FanBank:
     def total_airflow_cfm(self) -> float:
         """Aggregate chassis airflow at current speeds."""
         return sum(fan.airflow_cfm() for fan in self._fans)
-
-    def power_at_uniform_rpm_w(self, rpm: float) -> float:
-        """Bank power if every fan ran at *rpm* (steady-state planning)."""
-        return self._fans[0].power_w(rpm) * self.fan_count
-
-    def airflow_at_uniform_rpm_cfm(self, rpm: float) -> float:
-        """Bank airflow if every fan ran at *rpm*."""
-        return self._fans[0].airflow_cfm(rpm) * self.fan_count

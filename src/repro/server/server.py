@@ -85,7 +85,6 @@ class ServerSimulator:
         self.fans = FanBank(
             self.spec.fan,
             fan_count=self.spec.fan_count,
-            fans_per_group=self.spec.fans_per_group,
             initial_rpm=initial_fan_rpm,
         )
         self.thermal = ThermalNetwork(
@@ -105,7 +104,6 @@ class ServerSimulator:
 
         cpu_sensor_count = 2 * self.spec.socket_count
         self._cpu_temp_faults = [FaultableSensor() for _ in range(cpu_sensor_count)]
-        self._power_fault = FaultableSensor()
 
         self._time_s = 0.0
         self._utilization_pct = 0.0
@@ -122,10 +120,6 @@ class ServerSimulator:
     def set_fan_rpm(self, rpm: float) -> None:
         """Command every fan pair to *rpm* (the paper's configuration)."""
         self.fans.set_all_commands(rpm)
-
-    def set_fan_group_rpm(self, group: int, rpm: float) -> None:
-        """Command one fan pair independently."""
-        self.fans.set_group_command(group, rpm)
 
     def set_pstate(self, index: int) -> None:
         """Command a p-state (no-op ladder on the default spec)."""
@@ -301,16 +295,6 @@ class ServerSimulator:
             raise IndexError(f"cpu temp sensor {sensor_index} out of range")
         self._cpu_temp_faults[sensor_index].inject(fault)
 
-    def inject_power_sensor_fault(self, fault: SensorFault) -> None:
-        """Inject a fault into the system power channel."""
-        self._power_fault.inject(fault)
-
-    def clear_sensor_faults(self) -> None:
-        """Remove every injected sensor fault (repair action)."""
-        for faultable in self._cpu_temp_faults:
-            faultable.clear()
-        self._power_fault.clear()
-
     def measured_cpu_temperatures_c(self) -> Tuple[float, ...]:
         """The four die thermal sensors (two per socket), with noise
         and any injected faults applied."""
@@ -324,8 +308,7 @@ class ServerSimulator:
 
     def measured_system_power_w(self) -> float:
         """Whole-system PSU power (excludes externally powered fans)."""
-        reading = self._power_sensor.read(self._last_state.power.compute_w)
-        return self._power_fault.transform(self._time_s, reading)
+        return self._power_sensor.read(self._last_state.power.compute_w)
 
     def measured_fan_power_w(self) -> float:
         """Fan power measured at the external supplies."""

@@ -211,8 +211,6 @@ class ServerSpec:
     fan: FanSpec = field(default_factory=FanSpec)
     #: Number of fans in the chassis (three rows of two).
     fan_count: int = 6
-    #: Fans per independently-controlled group (pairs, per the paper).
-    fans_per_group: int = 2
     #: Constant board / PSU-overhead / disk power, watts.
     board_power_w: float = 106.0
     sensor_noise: SensorNoiseSpec = field(default_factory=SensorNoiseSpec)
@@ -231,13 +229,8 @@ class ServerSpec:
     def __post_init__(self) -> None:
         if not self.sockets:
             raise ValueError("server needs at least one CPU socket")
-        if self.fan_count <= 0 or self.fans_per_group <= 0:
-            raise ValueError("fan_count and fans_per_group must be positive")
-        if self.fan_count % self.fans_per_group != 0:
-            raise ValueError(
-                "fan_count must be a multiple of fans_per_group "
-                f"({self.fan_count} % {self.fans_per_group} != 0)"
-            )
+        if self.fan_count <= 0:
+            raise ValueError("fan_count must be positive")
         validate_non_negative(self.board_power_w, "board_power_w")
         validate_temperature_c(self.critical_temperature_c, "critical_temperature_c")
         validate_temperature_c(self.target_max_temperature_c, "target_max_temperature_c")
@@ -255,11 +248,6 @@ class ServerSpec:
     def socket_count(self) -> int:
         """Number of CPU sockets."""
         return len(self.sockets)
-
-    @property
-    def fan_group_count(self) -> int:
-        """Number of independently controllable fan groups."""
-        return self.fan_count // self.fans_per_group
 
     @property
     def hardware_threads(self) -> int:

@@ -2,11 +2,12 @@
 
 Unit tests pin the checkpoint container itself (atomic commit,
 checksummed manifest, pruning, fingerprint refusal), then differential
-suites prove the headline contract for every engine path: a run
+suites prove the headline contract for every fleet backend: a run
 interrupted at a checkpoint and resumed produces *every* trace column,
 metric and capture row bit-for-bit equal to an uninterrupted run.  A
 Hypothesis property drives the checkpoint cadence itself, so the cut
-may land on any reachable tick boundary.
+may land on any reachable tick boundary.  A cut resumes only under the
+code that wrote it, and only checkpointing runs digest that code.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.checkpoint as checkpoint_module
+import repro.fleet.engine as fleet_engine_module
 from repro.core.controllers.pid import PIController
 from repro.engine.checkpoint import (
     CheckpointConfig,
@@ -27,7 +30,6 @@ from repro.engine.checkpoint import (
     require_fingerprint,
     resolve_checkpoint,
 )
-from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.fleet import (
     PLACEMENT_POLICIES,
     FaultSchedule,
@@ -38,7 +40,6 @@ from repro.fleet import (
 )
 from repro.obs.capture import FleetCapture
 from repro.obs.store import TimeseriesStore
-from repro.server.faults import DropoutFault, StuckFault
 from repro.workloads.profile import StaircaseProfile
 
 DT_S = 2.0
@@ -104,13 +105,6 @@ class TestCheckpointContainer:
         path = writer.commit("unit-test", {"kind": "unit-test"})
         assert list_checkpoints(tmp_path) == [path]
         assert not any(p.name.startswith("tmp-") for p in tmp_path.iterdir())
-
-    def test_abort_leaves_nothing(self, tmp_path):
-        writer = CheckpointWriter(tmp_path, 3)
-        writer.arrays("state", {"x": np.zeros(2)})
-        writer.abort()
-        assert not list_checkpoints(tmp_path)
-        assert not any(tmp_path.iterdir())
 
     def test_corruption_detected(self, tmp_path):
         writer = CheckpointWriter(tmp_path, 5)
@@ -290,52 +284,6 @@ class TestShardedResume:
 
 
 # ----------------------------------------------------------------------
-# experiment runner
-# ----------------------------------------------------------------------
-class TestExperimentResume:
-    PROFILE = StaircaseProfile([20.0, 80.0, 50.0, 95.0], 120.0)
-    CONFIG = ExperimentConfig(dt_s=1.0, seed=7)
-
-    def run(self, **kw):
-        return run_experiment(
-            PIController(),
-            self.PROFILE,
-            config=self.CONFIG,
-            faults=[
-                (0, StuckFault(45.0, start_s=100.0, end_s=250.0)),
-                (2, DropoutFault(start_s=150.0, end_s=200.0)),
-            ],
-            **kw,
-        )
-
-    def test_resume_bit_identical(self, tmp_path):
-        golden = self.run()
-        cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=120.0,
-                               keep=10)
-        checkpointed = self.run(checkpoint=cfg)
-        # the sensor-2 dropout makes measured_max_cpu_c NaN: the same
-        # NaN positions must match too
-        for name, col in golden.as_arrays().items():
-            assert np.array_equal(
-                col, checkpointed.column(name), equal_nan=True
-            ), name
-        cuts = list_checkpoints(cfg.root)
-        assert cuts, "no experiment checkpoints written"
-        for cut in cuts:
-            resumed = self.run(resume_from=cut)
-            for name, col in golden.as_arrays().items():
-                assert np.array_equal(
-                    col, resumed.column(name), equal_nan=True
-                ), f"resume@{cut.name}: {name}"
-            assert resumed.metrics == golden.metrics
-
-    def test_reference_engine_refuses_checkpoint(self, tmp_path):
-        cfg = CheckpointConfig(directory=tmp_path / "ckpt")
-        with pytest.raises(ValueError, match="engine='kernel'"):
-            self.run(engine="reference", checkpoint=cfg)
-
-
-# ----------------------------------------------------------------------
 # property: any reachable cut tick preserves every column
 # ----------------------------------------------------------------------
 _GOLDEN_CACHE = {}
@@ -437,3 +385,43 @@ def test_other_checkpoint_kind_refused(tmp_path):
     path = writer.commit("fleet-vector", {"kind": "fleet-vector"})
     with pytest.raises(CheckpointError, match="'fleet-vector'"):
         make_engine().run(dt_s=DT_S, duration_s=DURATION_S, resume_from=path)
+
+
+# ----------------------------------------------------------------------
+# the code that wrote a cut
+# ----------------------------------------------------------------------
+def test_cut_from_other_code_refused(tmp_path, monkeypatch):
+    """A cut carries trace rows and pickles made by the code that wrote
+    it; resumed under other code it is refused, naming only ``code``."""
+    cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0)
+    make_engine(checkpoint=cfg).run(dt_s=DT_S, duration_s=DURATION_S)
+    monkeypatch.setattr(fleet_engine_module, "code_digest", lambda: "0" * 64)
+    with pytest.raises(
+        CheckpointError,
+        match=r"\(code: checkpoint='[0-9a-f]{64}' run='0{64}'\)$",
+    ):
+        make_engine().run(dt_s=DT_S, duration_s=DURATION_S,
+                          resume_from=latest_checkpoint(cfg.root))
+
+
+@pytest.mark.parametrize(
+    "backend, kw",
+    [
+        ("vector", {}),
+        ("reference", {}),
+        ("sharded", {"shards": 2, "shard_mode": "inline"}),
+    ],
+    ids=["vector", "reference", "sharded"],
+)
+def test_run_without_checkpointing_never_digests_the_code(
+    monkeypatch, backend, kw
+):
+    def refuse():
+        raise AssertionError("code digest computed by a run without cuts")
+
+    monkeypatch.setattr(checkpoint_module, "code_digest", refuse)
+    monkeypatch.setattr(fleet_engine_module, "code_digest", refuse)
+    result = make_engine(backend, make_faults(), **kw).run(
+        dt_s=DT_S, duration_s=DURATION_S
+    )
+    assert result.times_s.shape == (STEPS,)

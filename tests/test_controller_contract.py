@@ -8,6 +8,7 @@ check (``FanController``) and the one lockout rule
 runner and fleet suites pin the loops that use them.
 """
 
+import dataclasses
 import json
 import math
 
@@ -38,7 +39,7 @@ from repro.engine.checkpoint import (
     CheckpointError,
     list_checkpoints,
 )
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.fleet import FleetEngine
 from repro.models.leakage import FanPowerModel, LeakageModel
 from repro.server.dvfs import default_dvfs_ladder
 from repro.workloads.profile import StaircaseProfile
@@ -221,28 +222,37 @@ def test_shipped_controllers_refuse_a_zero_poll_interval(kind, lut):
         SHIPPED[kind](lut, poll_interval_s=0)
 
 
-def test_format_version_1_checkpoint_refused(tmp_path, dvfs_spec, lut):
+def test_format_version_1_checkpoint_refused(
+    tmp_path, dvfs_spec, lut, single_server_fleet
+):
     """Checkpoints pickle their controllers, whose lockout state moved
     into ``LockoutController`` in format version 2.  A version-2 cut of
-    a coordinated run resumes bit-identically; the same cut stamped
-    version 1 is refused before anything is unpickled."""
+    a coordinated fleet run resumes bit-identically; the same cut
+    stamped version 1 is refused before anything is unpickled."""
 
-    def run(**kw):
-        return run_experiment(
-            CoordinatedController(lut, dvfs_spec.dvfs),
+    def run(checkpoint=None, resume_from=None):
+        return FleetEngine(
+            single_server_fleet(dvfs_spec),
             StaircaseProfile([20.0, 95.0, 40.0], 60.0),
-            spec=dvfs_spec,
-            config=ExperimentConfig(loadgen_mode="direct", seed=4),
-            **kw,
-        )
+            controller_factory=lambda i: CoordinatedController(
+                lut, dvfs_spec.dvfs
+            ),
+            seed=4,
+            checkpoint=checkpoint,
+        ).run(dt_s=1.0, resume_from=resume_from)
 
     golden = run()
     run(checkpoint=CheckpointConfig(directory=tmp_path, every_s=90.0))
     cut = list_checkpoints(tmp_path)[-1]
     resumed = run(resume_from=cut)
-    for name, column in golden.as_arrays().items():
-        np.testing.assert_array_equal(resumed.column(name), column, name)
-    assert len(np.unique(golden.column("pstate_index"))) > 1
+    for field in dataclasses.fields(golden):
+        expected = getattr(golden, field.name)
+        if isinstance(expected, np.ndarray):
+            np.testing.assert_array_equal(
+                getattr(resumed, field.name), expected, field.name
+            )
+    assert resumed.metrics == golden.metrics
+    assert len(np.unique(golden.pstate_index)) > 1
 
     manifest_path = cut / "manifest.json"
     manifest = json.loads(manifest_path.read_text())

@@ -1,6 +1,6 @@
 """Unit tests for the PI temperature-tracking extension."""
 
-import pickle
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,6 +13,12 @@ from repro.engine.checkpoint import (
     read_manifest,
 )
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.fleet import (
+    FaultSchedule,
+    FleetEngine,
+    SensorFaultEvent,
+    build_uniform_fleet,
+)
 from repro.server.faults import DropoutFault
 from repro.workloads.profile import ConstantProfile
 
@@ -122,26 +128,37 @@ class TestTelemetryGap:
         assert commands[time_s > 1200.0].max() <= 3000.0
 
     def test_resume_from_a_cut_inside_the_gap(self, tmp_path):
-        golden = run_through_gap()
-        config = CheckpointConfig(directory=tmp_path, every_s=1000.0)
-        run_through_gap(checkpoint=config)
-        (cut,) = list_checkpoints(config.root)
-        assert read_manifest(cut)["tick"] == 1000
-        resumed = run_through_gap(resume_from=cut)
-        for name, column in golden.as_arrays().items():
-            # measured_max_cpu_c is NaN while sensor 0 is out.
-            assert np.array_equal(
-                resumed.column(name), column, equal_nan=True
-            ), name
+        """Two servers at full load; server 0's die sensors drop out
+        from 600 to 1200 s.  A fleet cut at 1000 s, inside the gap,
+        resumes bit-identically to the run that never stopped."""
 
-    def test_controller_pickled_without_the_hold_field_loads(self):
-        """A PI pickled before ``hold`` existed lacks ``_held``; the
-        class default stands in, so an older checkpoint still resumes."""
-        old = PIController()
-        old.reset()
-        del old.__dict__["_held"]
-        loaded = pickle.loads(pickle.dumps(old))
-        assert loaded.decide(obs(10.0, 75.0)) == 1800.0 + 600.0 + 50.0
-        loaded.hold(20.0)
-        # Bumpless from the held 2400 RPM: one 10 s interval at +10 degC.
-        assert loaded.decide(obs(30.0, 80.0, rpm=2400.0)) == 2500.0
+        def run(checkpoint=None, resume_from=None):
+            return FleetEngine(
+                build_uniform_fleet(rack_count=1, servers_per_rack=2),
+                ConstantProfile(100.0, 1500.0),
+                controller_factory=lambda i: PIController(),
+                faults=FaultSchedule(
+                    events=(
+                        SensorFaultEvent(
+                            server=0, mode="dropout",
+                            start_s=600.0, end_s=1200.0,
+                        ),
+                    )
+                ),
+                seed=0,
+                checkpoint=checkpoint,
+            ).run(dt_s=5.0, resume_from=resume_from)
+
+        golden = run()
+        config = CheckpointConfig(directory=tmp_path, every_s=1000.0)
+        run(checkpoint=config)
+        (cut,) = list_checkpoints(config.root)
+        assert read_manifest(cut)["tick"] == 200
+        resumed = run(resume_from=cut)
+        for field in dataclasses.fields(golden):
+            expected = getattr(golden, field.name)
+            if isinstance(expected, np.ndarray):
+                assert np.array_equal(
+                    getattr(resumed, field.name), expected
+                ), field.name
+        assert resumed.metrics == golden.metrics

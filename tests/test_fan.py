@@ -88,45 +88,13 @@ class TestFanBank:
     def test_default_bank_shape(self, fan_spec):
         bank = FanBank(fan_spec)
         assert bank.fan_count == 6
-        assert bank.group_count == 3
 
     def test_total_power_is_sum(self, fan_spec):
         bank = FanBank(fan_spec, initial_rpm=4200.0)
         assert bank.total_power_w() == pytest.approx(6 * fan_spec.power_at_ref_w)
-
-    def test_group_command_only_affects_pair(self, fan_spec):
-        bank = FanBank(fan_spec, initial_rpm=1800.0)
-        bank.set_group_command(1, 4200.0)
-        bank.step(100.0)
-        rpms = bank.rpms
-        assert rpms[0] == rpms[1] == 1800.0
-        assert rpms[2] == rpms[3] == 4200.0
-        assert rpms[4] == rpms[5] == 1800.0
 
     def test_set_all_commands(self, fan_spec):
         bank = FanBank(fan_spec, initial_rpm=1800.0)
         bank.set_all_commands(3000.0)
         bank.step(100.0)
         assert all(r == 3000.0 for r in bank.rpms)
-
-    def test_mean_rpm(self, fan_spec):
-        bank = FanBank(fan_spec, initial_rpm=1800.0)
-        bank.set_group_command(0, 4200.0)
-        bank.step(100.0)
-        expected = (2 * 4200.0 + 4 * 1800.0) / 6.0
-        assert bank.mean_rpm == pytest.approx(expected)
-
-    def test_invalid_group_index(self, fan_spec):
-        bank = FanBank(fan_spec)
-        with pytest.raises(IndexError):
-            bank.set_group_command(3, 2400.0)
-
-    def test_uneven_grouping_rejected(self, fan_spec):
-        with pytest.raises(ValueError):
-            FanBank(fan_spec, fan_count=5, fans_per_group=2)
-
-    def test_uniform_power_helper_matches_live_power(self, fan_spec):
-        bank = FanBank(fan_spec, initial_rpm=2400.0)
-        assert bank.power_at_uniform_rpm_w(2400.0) == pytest.approx(
-            bank.total_power_w()
-        )

@@ -99,22 +99,7 @@ class TestSimulatorIntegration:
         # The other channels still track the hot junction.
         assert all(r > 50.0 for r in readings[1:])
 
-    def test_power_sensor_offset(self):
-        sim = ServerSimulator(seed=0, initial_fan_rpm=3000.0)
-        sim.settle_to_steady_state(50.0)
-        truth = sim.state.power.compute_w
-        sim.inject_power_sensor_fault(OffsetFault(100.0))
-        reading = sim.measured_system_power_w()
-        assert reading == pytest.approx(truth + 100.0, abs=10.0)
-
     def test_out_of_range_sensor_index(self):
         sim = ServerSimulator(seed=0)
         with pytest.raises(IndexError):
             sim.inject_cpu_temp_fault(4, StuckFault(30.0))
-
-    def test_clear_sensor_faults(self):
-        sim = ServerSimulator(seed=0, initial_fan_rpm=3000.0)
-        sim.settle_to_steady_state(100.0)
-        sim.inject_cpu_temp_fault(0, StuckFault(30.0))
-        sim.clear_sensor_faults()
-        assert sim.measured_cpu_temperatures_c()[0] > 50.0

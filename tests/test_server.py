@@ -53,13 +53,6 @@ class TestActuation:
             state = sim.step(1.0, 0.0)
         assert state.mean_fan_rpm == pytest.approx(4200.0)
 
-    def test_group_actuation(self, sim):
-        sim.set_fan_group_rpm(0, 4200.0)
-        for _ in range(5):
-            state = sim.step(1.0, 0.0)
-        assert state.fan_rpms[0] == 4200.0
-        assert state.fan_rpms[5] == 3000.0
-
 
 class TestSteadyStateJump:
     def test_settle_matches_long_transient(self):

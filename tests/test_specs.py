@@ -78,7 +78,6 @@ class TestServerSpec:
     def test_six_fans_in_three_pairs(self):
         spec = default_server_spec()
         assert spec.fan_count == 6
-        assert spec.fan_group_count == 3
 
     def test_default_fan_rpm_is_3300(self):
         assert default_server_spec().default_fan_rpm == 3300.0
@@ -91,10 +90,6 @@ class TestServerSpec:
     def test_requires_at_least_one_socket(self):
         with pytest.raises(ValueError):
             ServerSpec(sockets=())
-
-    def test_fan_count_must_divide_into_groups(self):
-        with pytest.raises(ValueError):
-            ServerSpec(fan_count=7, fans_per_group=2)
 
     def test_target_must_be_below_critical(self):
         with pytest.raises(ValueError):
